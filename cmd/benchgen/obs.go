@@ -45,7 +45,7 @@ func benchRun(res *atpg.Result) *benchfmt.Run {
 			r.FaultP50Ns = h.Quantile(0.5)
 			r.FaultP99Ns = h.Quantile(0.99)
 		}
-		// Sharded-runtime figures; absent (zero) on sequential runs.
+		// Shard figures; a workers=1 run reports its one shard too.
 		r.ShardWorkers = s.Gauges["atpg.shard.workers"]
 		r.ShardVectorsExchanged = s.Counters["atpg.shard.vectors_exchanged"]
 		r.ShardAborts = s.Counters["atpg.shard.aborts"]

@@ -444,10 +444,11 @@ func run(ctx context.Context, opt options, stdout io.Writer, lv *live.Server) (d
 			return err
 		}
 
-		// One result slot per element; with -workers > 1 the slots are
-		// filled by a pool of independent vehicle copies (the solver and
-		// BDD state inside a Mixed are not goroutine-safe) and printed
-		// below in element order, so stdout is identical either way.
+		// One result slot per element, filled by a pool of -workers
+		// independent vehicle copies (the solver and BDD state inside a
+		// Mixed are not goroutine-safe; one worker uses the vehicle built
+		// above) and printed below in element order, so stdout is
+		// identical for every worker count.
 		type vehicle struct {
 			mx     *core.Mixed
 			matrix *analog.Matrix
@@ -473,63 +474,54 @@ func run(ctx context.Context, opt options, stdout io.Writer, lv *live.Server) (d
 			return r
 		}
 		results := make([]elemResult, len(elements))
-		if workers := opt.workers; workers > 1 {
-			if workers > len(elements) {
-				workers = len(elements)
-			}
-			vs := make([]*vehicle, workers)
-			vs[0] = &vehicle{mx: mx, matrix: matrix, prop: prop}
-			buildErrs := make([]error, workers)
-			var wg sync.WaitGroup
-			for w := 1; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					wmx, welems, wparams, werr := buildVehicle(circuit, digital)
-					if werr != nil {
-						buildErrs[w] = werr
-						return
-					}
-					wmatrix, werr := analog.BuildMatrix(wmx.Analog, welems, wparams, analog.DefaultEDOptions())
-					if werr != nil {
-						buildErrs[w] = werr
-						return
-					}
-					wprop, werr := core.NewPropagator(wmx)
-					if werr != nil {
-						buildErrs[w] = werr
-						return
-					}
-					vs[w] = &vehicle{mx: wmx, matrix: wmatrix, prop: wprop}
-				}(w)
-			}
-			wg.Wait()
-			for _, berr := range buildErrs {
-				if berr != nil {
-					return berr
+		workers := max(min(opt.workers, len(elements)), 1)
+		vs := make([]*vehicle, workers)
+		vs[0] = &vehicle{mx: mx, matrix: matrix, prop: prop}
+		buildErrs := make([]error, workers)
+		var wg sync.WaitGroup
+		for w := 1; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				wmx, welems, wparams, werr := buildVehicle(circuit, digital)
+				if werr != nil {
+					buildErrs[w] = werr
+					return
 				}
-			}
-			jobs := make(chan int)
-			for _, v := range vs {
-				wg.Add(1)
-				go func(v *vehicle) {
-					defer wg.Done()
-					for i := range jobs {
-						results[i] = testElem(v, i)
-					}
-				}(v)
-			}
-			for i := range elements {
-				jobs <- i
-			}
-			close(jobs)
-			wg.Wait()
-		} else {
-			v := &vehicle{mx: mx, matrix: matrix, prop: prop}
-			for i := range elements {
-				results[i] = testElem(v, i)
+				wmatrix, werr := analog.BuildMatrix(wmx.Analog, welems, wparams, analog.DefaultEDOptions())
+				if werr != nil {
+					buildErrs[w] = werr
+					return
+				}
+				wprop, werr := core.NewPropagator(wmx)
+				if werr != nil {
+					buildErrs[w] = werr
+					return
+				}
+				vs[w] = &vehicle{mx: wmx, matrix: wmatrix, prop: wprop}
+			}(w)
+		}
+		wg.Wait()
+		for _, berr := range buildErrs {
+			if berr != nil {
+				return berr
 			}
 		}
+		jobs := make(chan int)
+		for _, v := range vs {
+			wg.Add(1)
+			go func(v *vehicle) {
+				defer wg.Done()
+				for i := range jobs {
+					results[i] = testElem(v, i)
+				}
+			}(v)
+		}
+		for i := range elements {
+			jobs <- i
+		}
+		close(jobs)
+		wg.Wait()
 
 		testable := 0
 		for i, elem := range elements {

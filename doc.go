@@ -53,11 +53,14 @@
 // out per shard, and results merge back in stable fault-index order, so
 // coverage and classification are identical for every worker count and
 // the merged trace is byte-stable for a fixed one. A worker death
-// (panic, chaos at atpg.shard, deadline) degrades its pending faults to
-// typed aborts instead of hanging the run, and shard-tagged checkpoint
-// records re-partition on resume under any -workers value.
-// core.CompileProgramParallel applies the same pool to the analog
-// element×bound tests with one vehicle copy per worker.
+// (panic, chaos at atpg.shard, failed setup, deadline) degrades its
+// pending faults to typed aborts instead of hanging the run, and
+// shard-tagged checkpoint records re-partition on resume under any
+// -workers value. There is one engine: (*Generator).Run and one worker
+// are the one-shard case of the same coordinator, recording straight to
+// the caller's collector. core.CompileProgramParallel applies the same
+// pool to the analog element×bound tests with one vehicle copy per
+// worker, and core.CompileProgramCtx is its one-vehicle call.
 //
 // The project's cross-cutting contracts (contexts thread through Ctx
 // variants, spans end on all paths, mna construction errors are

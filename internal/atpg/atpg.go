@@ -172,67 +172,17 @@ func (g *Generator) gateBDD(t logic.GateType, in []bdd.Ref) bdd.Ref {
 
 // FaultyOutputs recomputes the output functions under the fault, reusing
 // good functions outside the fault cone. The returned map contains only
-// the outputs whose function can differ.
+// the outputs whose function can differ. It is FaultyOutputsSet of the
+// one-fault set.
 func (g *Generator) FaultyOutputs(f faults.Fault) map[logic.SigID]bdd.Ref {
-	faulty := map[logic.SigID]bdd.Ref{}
-	forced := bdd.Constant(f.Value)
-	var start logic.SigID
-	if f.Consumer < 0 {
-		faulty[f.Signal] = forced
-		start = f.Signal
-	} else {
-		// Branch fault: only the consumer gate sees the forced value.
-		s := g.c.Signal(f.Consumer)
-		fanins := make([]bdd.Ref, len(s.Fanin))
-		for i, fi := range s.Fanin {
-			if fi == f.Signal {
-				fanins[i] = forced
-			} else {
-				fanins[i] = g.good[fi]
-			}
-		}
-		faulty[f.Consumer] = g.gateBDD(s.Type, fanins)
-		start = f.Consumer
-	}
-	cone := g.c.Cone(start)
-	for _, id := range g.c.TopoOrder() {
-		if !cone[id] || id == start {
-			continue
-		}
-		s := g.c.Signal(id)
-		fanins := make([]bdd.Ref, len(s.Fanin))
-		for i, fi := range s.Fanin {
-			if fv, ok := faulty[fi]; ok {
-				fanins[i] = fv
-			} else {
-				fanins[i] = g.good[fi]
-			}
-		}
-		faulty[id] = g.gateBDD(s.Type, fanins)
-	}
-	out := map[logic.SigID]bdd.Ref{}
-	for _, o := range g.c.Outputs() {
-		if fv, ok := faulty[o]; ok {
-			out[o] = fv
-		}
-	}
-	return out
+	return g.FaultyOutputsSet([]faults.Fault{f})
 }
 
 // TestFunction returns the OBDD of all constrained test vectors for the
 // fault: S = Fc · Σ_o (F_o ⊕ F_o^faulty). S == bdd.False means the fault
 // is untestable under the constraints.
 func (g *Generator) TestFunction(f faults.Fault) bdd.Ref {
-	fo := g.FaultyOutputs(f)
-	s := bdd.False
-	for o, fv := range fo {
-		diff := g.m.Xor(g.good[o], fv)
-		s = g.m.Or(s, g.m.And(g.constraint, diff))
-		if s == g.constraint && g.constraint != bdd.False {
-			break // cannot grow beyond Fc
-		}
-	}
-	return s
+	return g.TestFunctionSet([]faults.Fault{f})
 }
 
 // GenerateVector produces one test vector for the fault, or ok=false when
@@ -240,10 +190,5 @@ func (g *Generator) TestFunction(f faults.Fault) bdd.Ref {
 // are filled with 0; because the satisfying path already entails Fc, any
 // completion remains a legal analog-reachable assignment.
 func (g *Generator) GenerateVector(f faults.Fault) (faults.Vector, bool) {
-	s := g.TestFunction(f)
-	assign, ok := g.m.SatOneConstrained(s, g.inputNames)
-	if !ok {
-		return nil, false
-	}
-	return faults.VectorFromAssignment(g.c, assign), true
+	return g.GenerateVectorSet([]faults.Fault{f})
 }

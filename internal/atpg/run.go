@@ -2,8 +2,6 @@ package atpg
 
 import (
 	"context"
-	"fmt"
-	"math/rand"
 	"runtime/pprof"
 	"time"
 
@@ -65,7 +63,7 @@ type runConfig struct {
 	checkpoint    *guard.Checkpoint
 	progress      func(name, outcome string)
 
-	// Sharded-runtime knobs, honoured by RunParallel only (see shard.go).
+	// Sharding knobs, honoured by RunParallel only (see shard.go).
 	workers    int
 	shardSetup func(*Generator) error
 	shardOpts  []Option
@@ -111,9 +109,9 @@ func WithCheckpoint(cp *guard.Checkpoint) RunOption {
 // WithProgress installs a live progress callback, invoked serially from
 // the run's coordination path once per fault whose outcome commits
 // (tested, dropped, random, an untestable reason, or "resumed" for
-// checkpoint restores). Collector events reach the root only at the
-// final deterministic merge in the sharded runtime; the callback fires
-// as the run progresses, so a caller can surface live per-fault progress
+// checkpoint restores). With two or more workers collector events reach
+// the root only at the final deterministic merge; the callback fires as
+// each round commits, so a caller can surface live per-fault progress
 // — the msatpgd daemon streams it over SSE and periodically persists the
 // event high-water mark it implies. Aborted and timed-out faults are not
 // reported: like the checkpoint, the callback sees only settled work.
@@ -124,8 +122,17 @@ func WithProgress(fn func(name, outcome string)) RunOption {
 // Run generates tests for every fault in fs with fault dropping: each new
 // vector is fault-simulated against the remaining faults, and faults it
 // detects are never targeted. The vector set therefore detects every
-// testable fault in fs.
+// testable fault in fs. Run is the one-shard case of the coordinator
+// behind RunParallel, with g itself as the shard: per-fault events and
+// drops land on g's collector as each round of up to shardRoundFaults
+// targeted faults commits. The sharding options (WithWorkers,
+// WithShardSetup, WithShardOptions) are ignored.
 func (g *Generator) Run(fs []faults.Fault, opts ...RunOption) *Result {
+	return runShards(g.c, fs, newRunConfig(opts), g.col, 1, g)
+}
+
+// newRunConfig applies opts over the defaults (a background context).
+func newRunConfig(opts []RunOption) runConfig {
 	cfg := runConfig{}
 	for _, o := range opts {
 		o(&cfg)
@@ -133,203 +140,7 @@ func (g *Generator) Run(fs []faults.Fault, opts ...RunOption) *Result {
 	if cfg.ctx == nil {
 		cfg.ctx = context.Background()
 	}
-	runCtx, cancelRun := cfg.limits.WithRunContext(cfg.ctx)
-	defer cancelRun()
-	start := time.Now()
-	snapBefore := g.col.Snapshot()
-	// The run span goes into the context so phase and per-fault spans
-	// below — and any caller-side span already in cfg.ctx — chain into
-	// one causal tree.
-	runSpan, runCtx := g.col.StartSpanCtx(runCtx, "atpg.run")
-	latency := g.col.Histogram("atpg.fault.latency_ns")
-	cDetected := g.col.Counter("atpg.faults.detected")
-	cDropped := g.col.Counter("atpg.faults.dropped")
-	g.col.Counter("atpg.faults.total").Add(int64(len(fs)))
-
-	res := &Result{Total: len(fs)}
-	sim := faults.NewSimulator(g.c)
-
-	// ckpt records one completed fault; checkpoint I/O failures are
-	// counted, not fatal — losing a checkpoint must not kill the run.
-	ckpt := func(key, outcome, vector string) {
-		if cfg.progress != nil {
-			cfg.progress(key, outcome)
-		}
-		if cfg.checkpoint == nil {
-			return
-		}
-		if err := cfg.checkpoint.Put(guard.Record{Key: key, Outcome: outcome, Vector: vector}); err != nil {
-			g.col.Counter("atpg.checkpoint.errors").Inc()
-		}
-	}
-
-	// state: 0 = pending, 1 = detected, 2 = untestable, 3 = aborted,
-	// 4 = timed out
-	state := make([]byte, len(fs))
-
-	// Restore faults already completed by a previous run before doing
-	// any work. Tested faults bring their witness vector back into the
-	// vector set; aborted/timed-out faults were never recorded, so they
-	// are re-attempted below.
-	restoreFromCheckpoint(cfg.checkpoint, g.c, fs, state, res, g.col, cfg.progress)
-	pendingIdx := func() []int {
-		var idx []int
-		for i, st := range state {
-			if st == 0 {
-				idx = append(idx, i)
-			}
-		}
-		return idx
-	}
-	// dropWith fault-simulates v against the pending faults; each fault
-	// it detects (other than the targeted one, index target, which gets
-	// its own "tested" event) gets one "fault" event naming the vector's
-	// origin, so the run report can attribute every drop. target is -1
-	// for random vectors.
-	dropWith := func(v faults.Vector, target int, by string, markRandom bool) {
-		idx := pendingIdx()
-		rem := make([]faults.Fault, len(idx))
-		for j, i := range idx {
-			rem[j] = fs[i]
-		}
-		det := sim.Detect([]faults.Vector{v}, rem)
-		outcome := "dropped"
-		if markRandom {
-			outcome = "random"
-		}
-		for j, d := range det {
-			if d >= 0 {
-				state[idx[j]] = 1
-				res.Detected++
-				cDetected.Inc()
-				cDropped.Inc()
-				if markRandom {
-					res.RandomHits++
-				}
-				if idx[j] != target {
-					g.col.Event("fault", rem[j].Name(g.c),
-						obs.Str("outcome", outcome), obs.Str("by", by))
-					ckpt(rem[j].Name(g.c), outcome, "")
-				}
-			}
-		}
-	}
-
-	// Optional random phase. The rng lives and dies with this call; see
-	// WithRandomPhase for the reproducibility contract.
-	if cfg.randomVectors > 0 {
-		randSpan, randCtx := g.col.StartSpanCtx(runCtx, "atpg.random_phase")
-		rng := rand.New(rand.NewSource(cfg.randomSeed))
-		nIn := len(g.c.Inputs())
-		// CPU samples taken inside this block carry phase=random, so a
-		// profile scraped from the live ops server splits time between
-		// the random and deterministic phases.
-		// res.RandomHits may already count hits restored from the
-		// checkpoint; only this phase's own hits go on the counter, or a
-		// resumed run would double-count every restored "random" record.
-		restoredHits := res.RandomHits
-		pprof.Do(randCtx, pprof.Labels("phase", "random"), func(ctx context.Context) {
-			for k := 0; k < cfg.randomVectors; k++ {
-				if ctx.Err() != nil {
-					break
-				}
-				v := make(faults.Vector, nIn)
-				for i := range v {
-					v[i] = rng.Intn(2) == 1
-				}
-				if g.constraint != bdd.True {
-					// Only patterns satisfying Fc may be applied.
-					if !g.m.Eval(g.constraint, v.Assignment(g.c)) {
-						continue
-					}
-				}
-				before := res.Detected
-				dropWith(v, -1, fmt.Sprintf("random[%d]", k), true)
-				if res.Detected > before {
-					res.Vectors = append(res.Vectors, v)
-					g.col.Counter("atpg.vectors").Inc()
-				}
-			}
-		})
-		g.col.Counter("atpg.random.hits").Add(int64(res.RandomHits - restoredHits))
-		randSpan.End()
-	}
-
-	// Deterministic phase. Each targeted fault leaves exactly one event:
-	// outcome, latency, the size of the constrained product S and (when
-	// tested) the witness vector — the per-work-item record the run
-	// report and the Chrome trace are built from.
-	detSpan, detCtx := g.col.StartSpanCtx(runCtx, "atpg.deterministic_phase")
-	for i := range fs {
-		if state[i] != 0 {
-			continue
-		}
-		name := fs[i].Name(g.c)
-		att := g.solveFault(detCtx, cfg.limits, fs[i])
-		res.Retries += att.out.Retries()
-		latency.Observe(att.latency.Nanoseconds())
-		switch att.out.Class {
-		case guard.TimedOut:
-			state[i] = 4
-			res.TimedOut = append(res.TimedOut, fs[i])
-			g.col.Counter("atpg.faults.timedout").Inc()
-			g.col.EventSince("fault", name, att.start,
-				obs.Str("outcome", "timed-out"), obs.Str("reason", att.out.Reason))
-			continue
-		case guard.Canceled:
-			state[i] = 3
-			res.Aborted = append(res.Aborted, fs[i])
-			g.col.Counter("atpg.faults.aborted").Inc()
-			g.col.EventSince("fault", name, att.start,
-				obs.Str("outcome", "aborted"), obs.Str("reason", "canceled"))
-			continue
-		case guard.Aborted:
-			state[i] = 3
-			res.Aborted = append(res.Aborted, fs[i])
-			g.col.Counter("atpg.faults.aborted").Inc()
-			g.col.EventSince("fault", name, att.start,
-				obs.Str("outcome", "aborted"), obs.Str("reason", att.out.Reason))
-			continue
-		}
-		if !att.ok {
-			reason := g.untestableReason(fs[i])
-			state[i] = 2
-			res.Untestable = append(res.Untestable, fs[i])
-			g.col.Counter("atpg.faults.untestable").Inc()
-			g.col.EventSince("fault", name, att.start,
-				obs.Str("outcome", reason),
-				obs.Int("product_nodes", int64(att.nodes)))
-			ckpt(name, reason, "")
-			continue
-		}
-		res.Vectors = append(res.Vectors, att.v)
-		g.col.Counter("atpg.vectors").Inc()
-		g.col.EventSince("fault", name, att.start,
-			obs.Str("outcome", "tested"),
-			obs.Int("product_nodes", int64(att.nodes)),
-			obs.Str("vector", att.v.String()))
-		ckpt(name, "tested", att.v.String())
-		dropWith(att.v, i, name, false)
-		if state[i] == 0 {
-			// The generated vector must detect its target; treat a miss
-			// as an internal inconsistency loudly rather than silently.
-			//lint:allow nopanic documented self-check: a vector that misses its target is an internal inconsistency
-			panic("atpg: generated vector does not detect its target fault")
-		}
-	}
-	detSpan.End()
-	if cfg.checkpoint != nil {
-		if err := cfg.checkpoint.Flush(); err != nil {
-			g.col.Counter("atpg.checkpoint.errors").Inc()
-		}
-	}
-	res.CPU = time.Since(start)
-	res.PeakNodes = g.m.PeakSize()
-	runSpan.End()
-	if g.col != nil {
-		res.Stats = g.col.Snapshot().Sub(snapBefore)
-	}
-	return res
+	return cfg
 }
 
 // faultAttempt is the outcome of one guarded targeted-fault solve: the
@@ -344,17 +155,37 @@ type faultAttempt struct {
 	latency time.Duration
 }
 
+// solveKind is how a guarded solve is instrumented: its span, its pprof
+// phase label and its chaos injection site.
+type solveKind struct {
+	span, phase string
+	inject      func(ctx context.Context, key string) error
+}
+
+var (
+	// combinationalSolve targets one fault of the circuit under test.
+	combinationalSolve = solveKind{"atpg.fault", "deterministic", func(ctx context.Context, key string) error {
+		return chaos.Step(ctx, chaos.SiteATPGFault, key)
+	}}
+	// sequentialSolve targets one core fault of a time-frame expansion,
+	// stuck in every frame at once.
+	sequentialSolve = solveKind{"atpg.seq.fault", "sequential", func(ctx context.Context, key string) error {
+		return chaos.Step(ctx, chaos.SiteATPGSeqFault, key)
+	}}
+)
+
 // solveFault runs one targeted fault inside the guard harness: panic
 // isolation, per-fault deadline, BDD node budget (doubled on each retry
 // so a budget-tripped fault gets a realistic second chance), and the
-// "atpg.fault" chaos site for fault-injection tests. The fault's span
-// chains under whatever span ctx carries, so the sequential loop and the
-// sharded runtime produce the same causal tree shape. The fault's name
-// labels every CPU sample under its solve, so `go tool pprof -tags`
-// attributes profile time to individual faults.
-func (g *Generator) solveFault(ctx context.Context, limits guard.Limits, f faults.Fault) faultAttempt {
+// kind's chaos site for fault-injection tests. sites holds the fault's
+// stuck lines — one for a combinational fault, one per time frame for a
+// sequential one — and name labels the whole set. The fault's
+// span chains under whatever span ctx carries, so every run shape
+// produces the same causal tree. The name also labels every CPU sample
+// under the solve, so `go tool pprof -tags` attributes profile time to
+// individual faults.
+func (g *Generator) solveFault(ctx context.Context, limits guard.Limits, kind solveKind, name string, sites []faults.Fault) faultAttempt {
 	att := faultAttempt{start: time.Now()}
-	name := f.Name(g.c)
 	policy := guard.RetryPolicy{
 		MaxRetries: limits.MaxRetries,
 		// Exponential backoff with deterministic jitter, keyed by the
@@ -362,11 +193,11 @@ func (g *Generator) solveFault(ctx context.Context, limits guard.Limits, f fault
 		// out instead of re-colliding on the same boundary.
 		BackoffPolicy: guard.Backoff{Base: limits.RetryBackoff, Jitter: 0.5},
 	}
-	faultSpan, faultCtx := g.col.StartSpanCtx(ctx, "atpg.fault")
+	faultSpan, faultCtx := g.col.StartSpanCtx(ctx, kind.span)
 	itemCtx, cancelItem := limits.WithItemContext(faultCtx)
-	pprof.Do(itemCtx, pprof.Labels("phase", "deterministic", "fault", name), func(itemCtx context.Context) {
+	pprof.Do(itemCtx, pprof.Labels("phase", kind.phase, "fault", name), func(itemCtx context.Context) {
 		att.out = guard.Run(itemCtx, g.col, name, policy, func(ctx context.Context, attempt int) error {
-			if err := chaos.Step(ctx, chaos.SiteATPGFault, name); err != nil {
+			if err := kind.inject(ctx, name); err != nil {
 				return err
 			}
 			g.m.BindContext(ctx)
@@ -374,7 +205,7 @@ func (g *Generator) solveFault(ctx context.Context, limits guard.Limits, f fault
 				g.m.SetNodeBudget(limits.BDDNodes << attempt)
 			}
 			return bdd.Guard(func() error {
-				s := g.TestFunction(f)
+				s := g.TestFunctionSet(sites)
 				if g.col != nil {
 					att.nodes = g.m.NodeCount(s)
 				}

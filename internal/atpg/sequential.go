@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"runtime/pprof"
 	"strconv"
-	"time"
 
 	"repro/internal/bdd"
 	"repro/internal/faults"
 	"repro/internal/guard"
-	"repro/internal/guard/chaos"
 	"repro/internal/logic"
 	"repro/internal/obs"
 )
@@ -163,12 +161,14 @@ func RunSequential(seq *logic.SeqCircuit, fs []faults.Fault, frames int, initial
 }
 
 // RunSequentialCtx is RunSequential under the hardened execution layer:
-// each core fault runs inside the guard harness with the per-fault
-// deadline and BDD node budget from limits, so a deadline expiring in
-// the middle of a time-frame-expanded cone aborts that fault (it lands
-// in TimedOut) instead of hanging the run, and a panic or budget trip
-// lands in Aborted. The per-fault work is also the "atpg.seq.fault"
-// chaos site.
+// each core fault's frame sites are solved together by the same guarded
+// solve as a combinational fault of Run, with the per-fault deadline,
+// BDD node budget and retry policy from limits, so a deadline expiring
+// in the middle of a time-frame-expanded cone aborts that fault (it
+// lands in TimedOut) instead of hanging the run, and a panic or budget
+// trip lands in Aborted. The per-fault work is the "atpg.seq.fault"
+// chaos site. Unlike Run there is no fault dropping: every core fault
+// is targeted, one vector each.
 func RunSequentialCtx(ctx context.Context, seq *logic.SeqCircuit, fs []faults.Fault, frames int, initial map[string]bool, limits guard.Limits) (*SequentialResult, error) {
 	col := obs.Default
 	runSpan, ctx := col.StartSpanCtx(ctx, "atpg.seq.run")
@@ -204,66 +204,38 @@ func RunSequentialCtx(ctx context.Context, seq *logic.SeqCircuit, fs []faults.Fa
 	res := &SequentialResult{Frames: frames, Total: len(fs)}
 	for fi, f := range fs {
 		name := f.Name(seq.Core)
-		start := time.Now()
 		if len(sites[fi]) == 0 {
 			res.Untestable = append(res.Untestable, f)
-			col.EventSince("seq.fault", name, start,
+			col.Event("seq.fault", name,
 				obs.Str("outcome", "no-site"), obs.Int("frames", int64(frames)))
 			continue
 		}
-		var v faults.Vector
-		var ok bool
-		faultSpan, faultCtx := col.StartSpanCtx(runCtx, "atpg.seq.fault")
-		itemCtx, cancelItem := limits.WithItemContext(faultCtx)
-		var out guard.Outcome
-		pprof.Do(itemCtx, pprof.Labels("phase", "sequential", "fault", name), func(itemCtx context.Context) {
-			out = guard.Do(itemCtx, col, name, func(c context.Context) error {
-				if err := chaos.Step(c, chaos.SiteATPGSeqFault, name); err != nil {
-					return err
-				}
-				g.m.BindContext(c)
-				if limits.BDDNodes > 0 {
-					g.m.SetNodeBudget(limits.BDDNodes)
-				}
-				return bdd.Guard(func() error {
-					v, ok = g.GenerateVectorSet(sites[fi])
-					return nil
-				})
-			})
-		})
-		cancelItem()
-		faultSpan.End()
-		g.m.BindContext(nil)
-		if limits.BDDNodes > 0 {
-			g.m.SetNodeBudget(0)
-		}
-		switch out.Class {
-		case guard.TimedOut:
-			res.TimedOut = append(res.TimedOut, f)
-			col.EventSince("seq.fault", name, start,
-				obs.Str("outcome", "timed-out"), obs.Str("reason", out.Reason),
-				obs.Int("frames", int64(frames)))
-			continue
-		case guard.Aborted, guard.Canceled:
-			res.Aborted = append(res.Aborted, f)
-			col.EventSince("seq.fault", name, start,
-				obs.Str("outcome", "aborted"), obs.Str("reason", out.Reason),
+		att := g.solveFault(runCtx, limits, sequentialSolve, name, sites[fi])
+		if !att.out.OK() {
+			_, outcome, _ := degraded(att.out.Class)
+			if att.out.Class == guard.TimedOut {
+				res.TimedOut = append(res.TimedOut, f)
+			} else {
+				res.Aborted = append(res.Aborted, f)
+			}
+			col.EventSince("seq.fault", name, att.start,
+				obs.Str("outcome", outcome), obs.Str("reason", att.out.Reason),
 				obs.Int("frames", int64(frames)))
 			continue
 		}
-		if !ok {
+		if !att.ok {
 			res.Untestable = append(res.Untestable, f)
-			col.EventSince("seq.fault", name, start,
+			col.EventSince("seq.fault", name, att.start,
 				obs.Str("outcome", "untestable"),
 				obs.Int("frames", int64(frames)), obs.Int("sites", int64(len(sites[fi]))))
 			continue
 		}
 		res.Detected++
-		res.Vectors = append(res.Vectors, v)
-		col.EventSince("seq.fault", name, start,
+		res.Vectors = append(res.Vectors, att.v)
+		col.EventSince("seq.fault", name, att.start,
 			obs.Str("outcome", "tested"),
 			obs.Int("frames", int64(frames)), obs.Int("sites", int64(len(sites[fi]))),
-			obs.Str("vector", v.String()))
+			obs.Str("vector", att.v.String()))
 	}
 	return res, nil
 }

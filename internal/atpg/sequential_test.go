@@ -1,9 +1,12 @@
 package atpg
 
 import (
+	"math/rand"
 	"testing"
 
+	"repro/internal/bdd"
 	"repro/internal/faults"
+	"repro/internal/iscas"
 	"repro/internal/logic"
 )
 
@@ -37,17 +40,48 @@ func fig3Seq(t *testing.T) *logic.SeqCircuit {
 	return s
 }
 
+// TestMultiSiteFaultMatchesSingle checks the one-element fault set —
+// which is how TestFunction and GenerateVector inject a single fault —
+// against fault simulation: at every sampled vector the test function
+// is true exactly when the vector detects the fault, and the generated
+// vector detects it. The adder is sampled exhaustively, c432 at 64
+// seeded random vectors.
 func TestMultiSiteFaultMatchesSingle(t *testing.T) {
-	c := adder(t)
-	g, err := New(c)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	for _, f := range faults.Collapse(c) {
-		single := g.TestFunction(f)
-		multi := g.TestFunctionSet([]faults.Fault{f})
-		if single != multi {
-			t.Errorf("%s: single and one-element-set test functions differ", f.Name(c))
+	rng := rand.New(rand.NewSource(1))
+	for _, c := range []*logic.Circuit{adder(t), iscas.MustBenchmark("c432")} {
+		g, err := New(c, WithCollector(nil))
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		n := len(c.Inputs())
+		exhaustive := n < 6
+		var vecs []faults.Vector
+		for k := 0; k < 64 && (!exhaustive || k < 1<<n); k++ {
+			v := make(faults.Vector, n)
+			for i := range v {
+				if exhaustive {
+					v[i] = k&(1<<i) != 0
+				} else {
+					v[i] = rng.Intn(2) == 1
+				}
+			}
+			vecs = append(vecs, v)
+		}
+		sim := faults.NewSimulator(c)
+		for _, f := range faults.Collapse(c) {
+			single := g.TestFunction(f)
+			multi := g.TestFunctionSet([]faults.Fault{f})
+			if single != multi {
+				t.Errorf("%s: single and one-element-set test functions differ", f.Name(c))
+			}
+			for _, v := range vecs {
+				if got, want := g.Manager().Eval(multi, v.Assignment(c)), sim.DetectsFault(v, f); got != want {
+					t.Errorf("%s %s at %s: test function %v, simulation detects %v", c.Name, f.Name(c), v, got, want)
+				}
+			}
+			if v, ok := g.GenerateVector(f); ok != (multi != bdd.False) || ok && !sim.DetectsFault(v, f) {
+				t.Errorf("%s %s: GenerateVector = %s, %v does not detect the fault", c.Name, f.Name(c), v, ok)
+			}
 		}
 	}
 }

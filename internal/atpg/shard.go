@@ -29,8 +29,10 @@ const shardRoundFaults = 4
 // fault list is partitioned round-robin across n worker shards, each
 // owning its own Generator and BDD manager — the unique/computed tables
 // are not goroutine-safe, so the runtime partitions state instead of
-// locking it. Values below 2 keep the run on the single-generator
-// sequential path. (*Generator).Run ignores this option.
+// locking it. Values below 2 run one shard, which is (*Generator).Run:
+// the same coordinator, rounds and chaos.SiteATPGShard boundary, so
+// atpg.shard.workers reads 1 and atpg.shard.vectors_exchanged counts.
+// (*Generator).Run ignores this option.
 func WithWorkers(n int) RunOption {
 	return func(c *runConfig) { c.workers = n }
 }
@@ -45,24 +47,25 @@ func WithWorkers(n int) RunOption {
 //		return nil
 //	})
 //
-// A setup error kills that shard (its faults become typed aborts); it
-// does not kill the run.
+// A setup error kills that shard (its faults become typed aborts, all
+// of them at one worker); it does not kill the run.
 func WithShardSetup(fn func(*Generator) error) RunOption {
 	return func(c *runConfig) { c.shardSetup = fn }
 }
 
 // WithShardOptions forwards Generator construction options (node limit,
 // variable order, collector) to every shard RunParallel builds. A
-// WithCollector among them names the run's root collector: each shard
-// runs on a child lane minted from it with NewChild("shardN"), and the
-// lanes merge back into the root when the run completes.
+// WithCollector among them names the run's root collector: with two or
+// more workers each shard runs on a child lane minted from it with
+// NewChild("shardN"), and the lanes merge back into the root when the
+// run completes; a single shard records on the root directly.
 func WithShardOptions(opts ...Option) RunOption {
 	return func(c *runConfig) { c.shardOpts = opts }
 }
 
-// oneShard is the per-worker state of a sharded run. The coordinator
-// owns pending, dead and rounds; gen, sim and the metric handles are
-// used by the shard's goroutine between barriers.
+// oneShard is the per-worker state of a run. The coordinator owns
+// pending, dead and rounds; gen, sim and the metric handles are used by
+// the shard's goroutine between barriers.
 type oneShard struct {
 	id    int
 	track string
@@ -81,12 +84,10 @@ type oneShard struct {
 	dropped  *obs.Counter
 }
 
-// broadcast is one vector crossing the shard boundary: the vector, the
-// fault it was generated for (-1 for random vectors) and the label drops
-// are attributed to.
+// broadcast is one vector crossing the shard boundary: the vector and
+// the label drops are attributed to.
 type broadcast struct {
 	v      faults.Vector
-	target int
 	origin string
 }
 
@@ -103,7 +104,10 @@ func (sh *oneShard) randomPhase(ctx context.Context, fs []faults.Fault, n int, s
 	g := sh.gen
 	rng := rand.New(rand.NewSource(seed))
 	nIn := len(g.c.Inputs())
-	local := append([]int(nil), sh.pending...)
+	rem := make([]faults.Fault, len(sh.pending))
+	for j, i := range sh.pending {
+		rem[j] = fs[i]
+	}
 	pprof.Do(ctx, pprof.Labels("phase", "random"), func(ctx context.Context) {
 		for k := 0; k < n; k++ {
 			if ctx.Err() != nil {
@@ -119,23 +123,18 @@ func (sh *oneShard) randomPhase(ctx context.Context, fs []faults.Fault, n int, s
 					continue
 				}
 			}
-			rem := make([]faults.Fault, len(local))
-			for j, i := range local {
-				rem[j] = fs[i]
-			}
+			// Keep the faults v misses, in place: det is computed first.
 			det := sh.sim.Detect([]faults.Vector{v}, rem)
-			var still []int
-			hit := false
+			still := 0
 			for j, d := range det {
-				if d >= 0 {
-					hit = true
-				} else {
-					still = append(still, local[j])
+				if d < 0 {
+					rem[still] = rem[j]
+					still++
 				}
 			}
-			if hit {
+			if still < len(rem) {
 				kept = append(kept, v)
-				local = still
+				rem = rem[:still]
 			}
 		}
 	})
@@ -153,6 +152,12 @@ func (sh *oneShard) randomPhase(ctx context.Context, fs []faults.Fault, n int, s
 // every discovered vector so cross-shard fault dropping prunes each
 // shard's remaining queue.
 //
+// There is one coordinator: n ≤ 1 runs it with a single shard, which is
+// exactly (*Generator).Run on a generator built from WithShardOptions
+// and WithShardSetup — the same vectors in the same order. That shard
+// records straight to the root collector, with no child lane and no
+// merge, so its events are visible while the run is in flight.
+//
 // Determinism contract: for a fixed seed, the coverage, the untestable
 // classification and the per-fault detected set are identical for every
 // worker count (untestability is intrinsic to a fault, and every
@@ -160,53 +165,19 @@ func (sh *oneShard) randomPhase(ctx context.Context, fs []faults.Fault, n int, s
 // Result and the merged collector snapshot are identical across repeated
 // runs. The tested-versus-dropped split — and therefore the exact vector
 // count — may differ between worker counts, because shards target faults
-// concurrently that a sequential run would have dropped first.
+// concurrently that a single shard would have dropped first.
 //
 // Result slices are assembled in stable fault-index order. A worker
-// death (panic, chaos injection at chaos.SiteATPGShard, deadline) kills
-// only that shard: its pending faults degrade to typed aborts or
-// timeouts at the end of the run — after the surviving shards' vectors
-// had the chance to drop them — and the run still returns normally.
+// death (panic, chaos injection at chaos.SiteATPGShard, a failed shard
+// setup, deadline) kills only that shard: its pending faults degrade to
+// typed aborts or timeouts at the end of the run — after the surviving
+// shards' vectors had the chance to drop them — and the run still
+// returns normally. With one worker that is every remaining fault. The
+// error result is always nil; it is kept for callers' signatures.
 func RunParallel(c *logic.Circuit, fs []faults.Fault, opts ...RunOption) (*Result, error) {
-	cfg := runConfig{}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.ctx == nil {
-		cfg.ctx = context.Background()
-	}
-	workers := cfg.workers
-	if workers > len(fs) {
-		workers = len(fs)
-	}
-	if workers < 2 {
-		g, err := New(c, cfg.shardOpts...)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.shardSetup != nil {
-			if err := cfg.shardSetup(g); err != nil {
-				return nil, err
-			}
-		}
-		runOpts := []RunOption{
-			WithContext(cfg.ctx),
-			WithLimits(cfg.limits),
-			WithCheckpoint(cfg.checkpoint),
-			WithProgress(cfg.progress),
-		}
-		if cfg.randomVectors > 0 {
-			runOpts = append(runOpts, WithRandomPhase(cfg.randomVectors, cfg.randomSeed))
-		}
-		return g.Run(fs, runOpts...), nil
-	}
-	return runSharded(c, fs, cfg, workers)
-}
-
-// runSharded is the workers >= 2 body of RunParallel.
-func runSharded(c *logic.Circuit, fs []faults.Fault, cfg runConfig, workers int) (*Result, error) {
+	cfg := newRunConfig(opts)
 	// The root collector is whatever WithShardOptions' WithCollector
-	// named (obs.Default otherwise); shards run on child lanes of it.
+	// named (obs.Default otherwise).
 	gcfg := config{}
 	for _, o := range cfg.shardOpts {
 		o(&gcfg)
@@ -215,7 +186,15 @@ func runSharded(c *logic.Circuit, fs []faults.Fault, cfg runConfig, workers int)
 	if !gcfg.collectorSet {
 		root = obs.Default
 	}
+	return runShards(c, fs, cfg, root, max(min(cfg.workers, len(fs)), 1), nil), nil
+}
 
+// runShards is the one ATPG coordinator behind Run and RunParallel. own
+// is the caller's generator when Run drives it as the single shard, nil
+// when every shard builds its own from cfg.shardOpts and cfg.shardSetup.
+// With more than one shard each works on a child lane of root, merged
+// back at the end; a single shard records on root itself.
+func runShards(c *logic.Circuit, fs []faults.Fault, cfg runConfig, root *obs.Collector, workers int, own *Generator) *Result {
 	start := time.Now()
 	var snapBefore *obs.Snapshot
 	if root != nil {
@@ -223,6 +202,9 @@ func runSharded(c *logic.Circuit, fs []faults.Fault, cfg runConfig, workers int)
 	}
 	runCtx, cancelRun := cfg.limits.WithRunContext(cfg.ctx)
 	defer cancelRun()
+	// The run span goes into the context so phase and per-fault spans
+	// below — and any caller-side span already in cfg.ctx — chain into
+	// one causal tree.
 	runSpan, runCtx := root.StartSpanCtx(runCtx, "atpg.run")
 	root.Gauge("atpg.shard.workers").Set(int64(workers))
 	root.Counter("atpg.faults.total").Add(int64(len(fs)))
@@ -244,14 +226,21 @@ func runSharded(c *logic.Circuit, fs []faults.Fault, cfg runConfig, workers int)
 	// resumed run re-partitions cleanly under any -workers value.
 	restoreFromCheckpoint(cfg.checkpoint, c, fs, state, res, root, cfg.progress)
 
-	ckpt := func(key, outcome, vector, shard string) {
+	// ckpt records one completed fault; checkpoint I/O failures are
+	// counted, not fatal — losing a checkpoint must not kill the run.
+	// Records carry the shard's lane; a single shard has none.
+	ckpt := func(sh *oneShard, key, outcome, vector string) {
 		if cfg.progress != nil {
 			cfg.progress(key, outcome)
 		}
 		if cfg.checkpoint == nil {
 			return
 		}
-		if err := cfg.checkpoint.Put(guard.Record{Key: key, Outcome: outcome, Vector: vector, Shard: shard}); err != nil {
+		rec := guard.Record{Key: key, Outcome: outcome, Vector: vector}
+		if workers > 1 {
+			rec.Shard = sh.track
+		}
+		if err := cfg.checkpoint.Put(rec); err != nil {
 			root.Counter("atpg.checkpoint.errors").Inc()
 		}
 	}
@@ -265,13 +254,16 @@ func runSharded(c *logic.Circuit, fs []faults.Fault, cfg runConfig, workers int)
 	}
 	shards := make([]*oneShard, workers)
 	for i := range shards {
-		sh := &oneShard{id: i, track: fmt.Sprintf("%sshard%d", trackPrefix, i)}
-		sh.col = root.NewChild(sh.track)
+		sh := &oneShard{id: i, track: fmt.Sprintf("%sshard%d", trackPrefix, i), col: root}
+		if workers > 1 {
+			sh.col = root.NewChild(sh.track)
+		}
 		sh.latency = sh.col.Histogram("atpg.fault.latency_ns")
 		sh.detected = sh.col.Counter("atpg.faults.detected")
 		sh.dropped = sh.col.Counter("atpg.faults.dropped")
 		shards[i] = sh
 	}
+	shards[0].gen = own
 	for i := range fs {
 		if state[i] == 0 {
 			sh := shards[i%workers]
@@ -279,9 +271,9 @@ func runSharded(c *logic.Circuit, fs []faults.Fault, cfg runConfig, workers int)
 		}
 	}
 
-	// Build every shard's generator concurrently — each build touches
-	// only its own manager. A failed or chaos-killed build marks the
-	// shard dead instead of killing the run.
+	// Start every shard concurrently — building a generator touches only
+	// its own manager. A failed or chaos-killed start marks the shard
+	// dead instead of killing the run.
 	var wg sync.WaitGroup
 	for _, sh := range shards {
 		wg.Add(1)
@@ -291,17 +283,19 @@ func runSharded(c *logic.Circuit, fs []faults.Fault, cfg runConfig, workers int)
 				if err := chaos.Step(ctx, chaos.SiteATPGShard, sh.track); err != nil {
 					return err
 				}
-				gopts := append(append([]Option(nil), cfg.shardOpts...), WithCollector(sh.col))
-				g, err := New(c, gopts...)
-				if err != nil {
-					return err
-				}
-				if cfg.shardSetup != nil {
-					if err := cfg.shardSetup(g); err != nil {
+				if sh.gen == nil {
+					gopts := append(append([]Option(nil), cfg.shardOpts...), WithCollector(sh.col))
+					g, err := New(c, gopts...)
+					if err != nil {
 						return err
 					}
+					if cfg.shardSetup != nil {
+						if err := cfg.shardSetup(g); err != nil {
+							return err
+						}
+					}
+					sh.gen = g
 				}
-				sh.gen = g
 				sh.sim = faults.NewSimulator(c)
 				return nil
 			})
@@ -397,7 +391,7 @@ func runSharded(c *logic.Circuit, fs []faults.Fault, cfg runConfig, workers int)
 					name := fs[i].Name(c)
 					sh.col.Event("fault", name,
 						obs.Str("outcome", outcome), obs.Str("by", batch[b].origin))
-					ckpt(name, outcome, "", sh.track)
+					ckpt(sh, name, outcome, "")
 				}
 			}
 		}
@@ -432,7 +426,7 @@ func runSharded(c *logic.Circuit, fs []faults.Fault, cfg runConfig, workers int)
 		for _, sh := range shards {
 			for k, v := range kept[sh.id] {
 				batch = append(batch, broadcast{
-					v: v, target: -1,
+					v:      v,
 					origin: fmt.Sprintf("%s/random[%d]", sh.track, k),
 				})
 				owners = append(owners, sh)
@@ -516,7 +510,7 @@ func runSharded(c *logic.Circuit, fs []faults.Fault, cfg runConfig, workers int)
 						if covered {
 							continue
 						}
-						att := sh.gen.solveFault(ctx, cfg.limits, fs[i])
+						att := sh.gen.solveFault(ctx, cfg.limits, combinationalSolve, fs[i].Name(c), fs[i:i+1])
 						recs = append(recs, solveRec{idx: i, att: att})
 						if att.out.Class == guard.OK && att.ok {
 							own = append(own, att.v)
@@ -554,24 +548,12 @@ func runSharded(c *logic.Circuit, fs []faults.Fault, cfg runConfig, workers int)
 				att := rec.att
 				res.Retries += att.out.Retries()
 				sh.latency.Observe(att.latency.Nanoseconds())
-				switch att.out.Class {
-				case guard.TimedOut:
-					state[i], classByFault[i] = 4, 4
-					sh.col.Counter("atpg.faults.timedout").Inc()
+				if !att.out.OK() {
+					st, outcome, counter := degraded(att.out.Class)
+					state[i], classByFault[i] = st, st
+					sh.col.Counter(counter).Inc()
 					sh.col.EventSince("fault", name, att.start,
-						obs.Str("outcome", "timed-out"), obs.Str("reason", att.out.Reason))
-					continue
-				case guard.Canceled:
-					state[i], classByFault[i] = 3, 3
-					sh.col.Counter("atpg.faults.aborted").Inc()
-					sh.col.EventSince("fault", name, att.start,
-						obs.Str("outcome", "aborted"), obs.Str("reason", "canceled"))
-					continue
-				case guard.Aborted:
-					state[i], classByFault[i] = 3, 3
-					sh.col.Counter("atpg.faults.aborted").Inc()
-					sh.col.EventSince("fault", name, att.start,
-						obs.Str("outcome", "aborted"), obs.Str("reason", att.out.Reason))
+						obs.Str("outcome", outcome), obs.Str("reason", att.out.Reason))
 					continue
 				}
 				if !att.ok {
@@ -583,7 +565,7 @@ func runSharded(c *logic.Circuit, fs []faults.Fault, cfg runConfig, workers int)
 					sh.col.EventSince("fault", name, att.start,
 						obs.Str("outcome", reason),
 						obs.Int("product_nodes", int64(att.nodes)))
-					ckpt(name, reason, "", sh.track)
+					ckpt(sh, name, reason, "")
 					continue
 				}
 				if !sh.sim.DetectsFault(att.v, fs[i]) {
@@ -598,9 +580,9 @@ func runSharded(c *logic.Circuit, fs []faults.Fault, cfg runConfig, workers int)
 					obs.Str("outcome", "tested"),
 					obs.Int("product_nodes", int64(att.nodes)),
 					obs.Str("vector", att.v.String()))
-				ckpt(name, "tested", att.v.String(), sh.track)
+				ckpt(sh, name, "tested", att.v.String())
 				cExchanged.Inc()
-				batch = append(batch, broadcast{v: att.v, target: i, origin: name})
+				batch = append(batch, broadcast{v: att.v, origin: name})
 				targets[i] = true
 			}
 		}
@@ -617,18 +599,15 @@ func runSharded(c *logic.Circuit, fs []faults.Fault, cfg runConfig, workers int)
 			if state[i] != 0 {
 				continue
 			}
-			name := fs[i].Name(c)
-			if sh.deadOut.Class == guard.TimedOut {
-				state[i], classByFault[i] = 4, 4
-				sh.col.Counter("atpg.faults.timedout").Inc()
-				sh.col.Event("fault", name,
-					obs.Str("outcome", "timed-out"), obs.Str("reason", sh.deadOut.Reason))
-			} else {
-				state[i], classByFault[i] = 3, 3
-				sh.col.Counter("atpg.faults.aborted").Inc()
-				sh.col.Event("fault", name,
-					obs.Str("outcome", "aborted"), obs.Str("reason", "shard-dead:"+sh.deadOut.Reason))
+			st, outcome, counter := degraded(sh.deadOut.Class)
+			reason := sh.deadOut.Reason
+			if st == 3 {
+				reason = "shard-dead:" + reason
 			}
+			state[i], classByFault[i] = st, st
+			sh.col.Counter(counter).Inc()
+			sh.col.Event("fault", fs[i].Name(c),
+				obs.Str("outcome", outcome), obs.Str("reason", reason))
 		}
 	}
 	detSpan.End()
@@ -664,15 +643,26 @@ func runSharded(c *logic.Circuit, fs []faults.Fault, cfg runConfig, workers int)
 	// Fold the shard lanes back into the root: deterministic by
 	// construction (sorted by track/lane, ids lane-major), so the merged
 	// causal trace is byte-stable for a fixed worker count.
-	children := make([]*obs.Collector, len(shards))
-	for i, sh := range shards {
-		children[i] = sh.col
+	if workers > 1 {
+		children := make([]*obs.Collector, len(shards))
+		for i, sh := range shards {
+			children[i] = sh.col
+		}
+		root.Merge(children...)
 	}
-	root.Merge(children...)
 	res.CPU = time.Since(start)
 	runSpan.End()
 	if root != nil {
 		res.Stats = root.Snapshot().Sub(snapBefore)
 	}
-	return res, nil
+	return res
+}
+
+// degraded maps a failed guard outcome to the fault state it leaves
+// (3 = aborted, 4 = timed out), its event outcome and its counter.
+func degraded(cl guard.Class) (state byte, outcome, counter string) {
+	if cl == guard.TimedOut {
+		return 4, "timed-out", "atpg.faults.timedout"
+	}
+	return 3, "aborted", "atpg.faults.aborted"
 }

@@ -410,8 +410,8 @@ func TestCheckpointVectorWidthValidated(t *testing.T) {
 	}
 }
 
-// TestParallelSpeedup measures wall-clock at workers=4 against the
-// sequential path on a multi-circuit workload. Timing assertions are
+// TestParallelSpeedup measures wall-clock at workers=4 against one
+// worker on a multi-circuit workload. Timing assertions are
 // meaningless under -race or on starved CI runners, so the check is
 // opt-in: MSATPG_SPEEDUP=1 go test -run TestParallelSpeedup ./internal/atpg
 // (CI measures the same thing via the bench-obs speedup artifact.)

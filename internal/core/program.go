@@ -84,79 +84,11 @@ func CompileProgram(mx *Mixed, matrix *analog.Matrix, elements []string, opts ..
 // threaded through every analog element test and the constrained
 // digital ATPG run, so a deadline or cancel aborts the compilation at
 // the next element or fault boundary instead of grinding through the
-// whole flow.
+// whole flow. It is CompileProgramParallel with one worker on mx.
 func CompileProgramCtx(ctx context.Context, mx *Mixed, matrix *analog.Matrix, elements []string, opts ...atpg.Option) (*TestProgram, error) {
-	start := time.Now()
-	prog := &TestProgram{CircuitName: fmt.Sprintf("%s→flash(%d)→%s",
-		mx.Analog.Name(), mx.Conv.NumComparators(), mx.Digital.Name)}
-
-	prop, err := NewPropagator(mx, opts...)
-	if err != nil {
-		return nil, err
-	}
-
-	// 1. Analog element tests, both bounds.
-	for _, elem := range elements {
-		for _, bound := range []Bound{UpperBound, LowerBound} {
-			verdict, err := mx.TestAnalogElementCtx(ctx, prop, matrix, elem, bound)
-			if err != nil {
-				return nil, fmt.Errorf("core: element %s: %w", elem, err)
-			}
-			if !verdict.Testable {
-				prog.AnalogUntestable = append(prog.AnalogUntestable, UntestableElement{
-					Element: elem, Bound: bound, Reason: verdict.Reason,
-				})
-				continue
-			}
-			prog.AnalogTests = append(prog.AnalogTests, AnalogTest{
-				Element:    elem,
-				Bound:      bound,
-				Param:      verdict.Param,
-				Deviation:  verdict.ED,
-				Stimulus:   verdict.Act.Stim,
-				Comparator: verdict.Act.Target,
-				Expect:     verdict.Act.Pattern[verdict.Act.Target-1],
-				FreeInputs: verdict.Prop.Vector,
-				Outputs:    verdict.Prop.Outputs,
-			})
-		}
-	}
-
-	// 2. Conversion-block element tests via the propagatable comparators.
-	census, err := mx.CensusPropagation(prop)
-	if err != nil {
-		return nil, err
-	}
-	opt := adc.DefaultEDOptions()
-	eds := mx.ConversionCoverage(census, opt)
-	best := mx.BestConversionComparators(census, opt)
-	for i := range eds {
-		if best[i] == 0 || math.IsInf(eds[i], 1) {
-			continue
-		}
-		prog.ConversionTests = append(prog.ConversionTests, ConversionTest{
-			Element:    fmt.Sprintf("R%d", i+1),
-			Comparator: best[i],
-			Deviation:  eds[i],
-		})
-	}
-
-	// 3. Constrained digital stuck-at vectors, compacted.
-	gen := prop.Generator()
-	fc := mx.Conv.ConstraintBDD(gen.Manager(), mx.Binding)
-	gen.SetConstraint(fc)
-	fs := faults.Collapse(mx.Digital)
-	res := gen.Run(fs, atpg.WithContext(ctx))
-	prog.DigitalVectors = gen.Compact(res.Vectors, fs)
-	prog.DigitalFaults = res.Total
-	prog.DigitalCoverage = res.Coverage()
-	for _, f := range res.Untestable {
-		prog.DigitalUntestable = append(prog.DigitalUntestable, f.Name(mx.Digital))
-	}
-	sort.Strings(prog.DigitalUntestable)
-
-	prog.GeneratedIn = time.Since(start)
-	return prog, nil
+	return CompileProgramParallel(ctx, 1, func() (*Mixed, *analog.Matrix, error) {
+		return mx, matrix, nil
+	}, elements, opts...)
 }
 
 // MixedFactory builds one independent copy of the mixed-circuit vehicle:
@@ -168,25 +100,19 @@ func CompileProgramCtx(ctx context.Context, mx *Mixed, matrix *analog.Matrix, el
 // verdict is the same no matter which worker computes it.
 type MixedFactory func() (*Mixed, *analog.Matrix, error)
 
-// CompileProgramParallel is CompileProgramCtx with a worker pool: the
-// element×bound analog tests fan out over workers independent vehicle
-// copies, and the constrained digital ATPG runs on the sharded
-// atpg.RunParallel runtime with the conversion constraint rebuilt on
-// every shard's own manager. Results are committed in the same serial
-// order as CompileProgramCtx, so the analog and conversion sections —
+// CompileProgramParallel is the flow of CompileProgram on a worker
+// pool: the element×bound analog tests fan out over workers independent
+// vehicle copies, and the constrained digital ATPG runs on
+// atpg.RunParallel with the conversion constraint rebuilt on every
+// shard's own manager. Results are committed in element×bound order
+// whatever the worker count, so the analog and conversion sections —
 // and the digital coverage and untestable classification — are identical
 // for every worker count; only the exact digital vector set may differ
-// (shards target faults concurrently that a sequential run would have
-// dropped first), and it always detects the same fault set. workers < 2
-// delegates to the sequential flow.
+// (shards target faults concurrently that one shard would have dropped
+// first), and it always detects the same fault set. workers < 2 runs one
+// vehicle and one ATPG shard: CompileProgramCtx is that case.
 func CompileProgramParallel(ctx context.Context, workers int, factory MixedFactory, elements []string, opts ...atpg.Option) (*TestProgram, error) {
-	if workers < 2 {
-		mx, matrix, err := factory()
-		if err != nil {
-			return nil, err
-		}
-		return CompileProgramCtx(ctx, mx, matrix, elements, opts...)
-	}
+	workers = max(workers, 1)
 	start := time.Now()
 
 	type vehicle struct {
@@ -226,7 +152,7 @@ func CompileProgramParallel(ctx context.Context, workers int, factory MixedFacto
 
 	// 1. Analog element tests, both bounds: a job per element×bound, fed
 	// to the workers over a channel; verdicts land in job order, so the
-	// commit below reads them exactly as the sequential loop would.
+	// commit below reads them in the same order for every worker count.
 	type job struct {
 		elem  string
 		bound Bound

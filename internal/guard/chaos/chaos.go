@@ -30,13 +30,17 @@ import (
 // entries whose injection point has been removed, so the set below and
 // the instrumented pipeline cannot drift apart.
 const (
-	// SiteATPGFault wraps one combinational fault in atpg.(*Generator).Run.
+	// SiteATPGFault wraps one targeted combinational fault of an ATPG
+	// run (atpg.(*Generator).Run and atpg.RunParallel).
 	SiteATPGFault = "atpg.fault"
-	// SiteATPGShard wraps one worker-shard boundary in atpg.RunParallel:
+	// SiteATPGShard wraps one worker-shard boundary of an ATPG run:
 	// shard startup (key "shardN") and each round of targeted-fault work
-	// (key "shardN#round"). An injected failure kills that shard — its
-	// pending faults degrade to typed aborts while the surviving shards
-	// finish the run.
+	// (key "shardN#round"). Every run has at least one shard — a
+	// workers=1 run and (*Generator).Run have exactly one, "shard0" — so
+	// the site fires for them too. An injected failure kills that shard:
+	// its pending faults degrade to typed aborts while any surviving
+	// shards finish the run; with one shard, every remaining fault
+	// aborts.
 	SiteATPGShard = "atpg.shard"
 	// SiteATPGSeqFault wraps one core fault in atpg.RunSequentialCtx.
 	SiteATPGSeqFault = "atpg.seq.fault"
