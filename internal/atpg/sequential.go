@@ -72,10 +72,16 @@ func (g *Generator) FaultyOutputsSet(fs []faults.Fault) map[logic.SigID]bdd.Ref 
 
 // TestFunctionSet returns the constrained test function for a multi-site
 // fault (all sites active at once): S = Fc · Σ_o (F_o ⊕ F_o^faulty).
+// The sum runs in output order, so the BDD work it does (and the nodes it
+// allocates) repeats exactly from run to run.
 func (g *Generator) TestFunctionSet(fs []faults.Fault) bdd.Ref {
 	fo := g.FaultyOutputsSet(fs)
 	s := bdd.False
-	for o, fv := range fo {
+	for _, o := range g.c.Outputs() {
+		fv, ok := fo[o]
+		if !ok {
+			continue
+		}
 		diff := g.m.Xor(g.good[o], fv)
 		s = g.m.Or(s, g.m.And(g.constraint, diff))
 		if s == g.constraint && g.constraint != bdd.False {
