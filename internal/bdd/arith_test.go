@@ -2,6 +2,7 @@ package bdd
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -136,7 +137,7 @@ func TestDiffMagnitudeGEProperty(t *testing.T) {
 		}
 		return m.Eval(ref, as) == (mag >= tau)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }

@@ -1,6 +1,14 @@
 // Package bdd implements reduced ordered binary decision diagrams (OBDDs)
 // with a hash-consed unique table and a memoized ITE operator.
 //
+// Both tables are flat arrays over the manager's node arena: an
+// open-addressing unique table and a direct-mapped, lossy computed cache
+// (see Manager). Nodes are never freed, so a cache miss only recomputes
+// into nodes the unique table already holds: it allocates nothing and
+// returns the same Ref. Hashing is a fixed function with no per-process
+// seed, so the same operations give the same Refs and counters on every
+// run.
+//
 // It provides the algebraic machinery the paper's test generator is built
 // on: boolean combination of line functions, the boolean difference
 // (computed as an XOR of good/faulty functions), constraint-function
@@ -42,16 +50,38 @@ type node struct {
 	hi    Ref
 }
 
-type opKey struct {
-	op      uint8
-	f, g, h Ref
+// cacheEntry is one computed-cache slot: r = op(a, b, c). Op codes start
+// at 1, so a zero slot (never written) matches no lookup.
+type cacheEntry struct {
+	op      uint32
+	a, b, c Ref
+	r       Ref
 }
 
 const (
-	opITE uint8 = iota
-	opExists
-	opRestrict
+	opITE      uint32 = iota + 1
+	opExists          // (f, level, 0)
+	opRestrict        // (f, level, value)
+	opCompose         // (f, substitution epoch, 0)
 )
+
+const (
+	// minTableSlots is the initial slot count of both tables.
+	minTableSlots = 1 << 10
+	// maxCacheSlots caps the computed cache (20 bytes a slot). Below the
+	// cap the cache keeps at least one slot per arena node.
+	maxCacheSlots = 1 << 20
+)
+
+// hashKey mixes an operation code and three operands into a table index.
+// The mix is fixed, so table layouts repeat from run to run.
+func hashKey(op uint32, a, b, c Ref) uint32 {
+	h := uint64(op)*0xD6E8FEB86659FD93 ^ uint64(uint32(a))*0x9E3779B97F4A7C15 ^
+		uint64(uint32(b))*0xC2B2AE3D27D4EB4F ^ uint64(uint32(c))*0x165667B19E3779F9
+	h ^= h >> 32
+	h *= 0x94D049BB133111EB
+	return uint32(h >> 32)
+}
 
 // LimitError is the panic value raised when a Manager exceeds its node
 // limit. Callers building potentially explosive diagrams should wrap the
@@ -81,17 +111,34 @@ func (e *CancelError) Error() string { return fmt.Sprintf("bdd: construction can
 // Unwrap exposes the context error for errors.Is classification.
 func (e *CancelError) Unwrap() error { return e.Cause }
 
-// Manager owns the unique table, the operation cache and the variable
-// order of a family of BDDs.
+// Manager owns the node arena, the unique table, the computed cache and
+// the variable order of a family of BDDs.
+//
+// The arena is a slice indexed by Ref; nodes are appended and never
+// freed. The unique table holds the Ref of every decision node at the
+// slot its (level, lo, hi) hashes to, probing linearly past occupied
+// slots; it is kept at most half full and doubles (rehashing the arena)
+// when it fills. The computed cache has one entry per slot and no
+// probing: ITE, Restrict, Exists and Compose results overwrite whatever
+// their key's slot held. Its slot count doubles with the arena, up to
+// maxCacheSlots, and a doubling keeps every entry. Restrict and Exists
+// key their entries by the variable's level.
 type Manager struct {
 	vars     []string
 	varIdx   map[string]int
 	nodes    []node
-	unique   map[node]Ref
-	cache    map[opKey]Ref
+	unique   []Ref // 0 (the False terminal, never stored) marks an empty slot
+	cache    []cacheEntry
 	limit    int
 	peakSize int
 	met      metrics
+
+	// Compose's substitution, indexed by level (noSub where the variable
+	// stays), the deepest substituted level, and the epoch that keys its
+	// cache entries; each call starts a new epoch.
+	sub      []Ref
+	subMax   int32
+	subEpoch uint32
 
 	// Per-work-item guards: ctx is polled every ctxCheckStride node
 	// allocations, budget caps allocations since budgetMark. Both zero
@@ -136,6 +183,9 @@ type metrics struct {
 //	bdd.cancels                         constructions aborted by context
 //	bdd.nodes.peak (gauge)              largest arena observed
 //
+// The operation cache is lossy, so its hit counts depend on its size: a
+// result it lost counts a miss and is recomputed, without allocating.
+//
 // Budget trips and cancels additionally emit a structured "bdd.trip"
 // event on the collector (they are rare — at most one per work item),
 // so the run timeline shows when and why a construction was cut short.
@@ -174,9 +224,10 @@ func New() *Manager { return NewWithLimit(DefaultNodeLimit) }
 func NewWithLimit(limit int) *Manager {
 	m := &Manager{
 		varIdx: map[string]int{},
-		unique: map[node]Ref{},
-		cache:  map[opKey]Ref{},
+		unique: make([]Ref, minTableSlots),
+		cache:  make([]cacheEntry, minTableSlots),
 		limit:  limit,
+		subMax: -1,
 	}
 	// Terminal nodes occupy slots 0 and 1.
 	m.nodes = append(m.nodes,
@@ -299,10 +350,14 @@ func (m *Manager) mk(level int32, lo, hi Ref) Ref {
 	if lo == hi {
 		return lo
 	}
-	key := node{level: level, lo: lo, hi: hi}
-	if r, ok := m.unique[key]; ok {
-		m.met.uniqueHit.Inc()
-		return r
+	mask := uint32(len(m.unique) - 1)
+	i := hashKey(0, Ref(level), lo, hi) & mask
+	for ; m.unique[i] != 0; i = (i + 1) & mask {
+		r := m.unique[i]
+		if n := m.nodes[r]; n.level == level && n.lo == lo && n.hi == hi {
+			m.met.uniqueHit.Inc()
+			return r
+		}
 	}
 	m.met.uniqueMiss.Inc()
 	m.checkGuards()
@@ -311,14 +366,63 @@ func (m *Manager) mk(level int32, lo, hi Ref) Ref {
 		panic(&LimitError{Limit: m.limit})
 	}
 	r := Ref(len(m.nodes))
-	m.nodes = append(m.nodes, key)
-	m.unique[key] = r
+	m.nodes = append(m.nodes, node{level: level, lo: lo, hi: hi})
+	m.unique[i] = r
 	m.met.nodesAlloc.Inc()
 	if len(m.nodes) > m.peakSize {
 		m.peakSize = len(m.nodes)
 		m.met.peakNodes.SetMax(int64(m.peakSize))
 	}
+	if 2*len(m.nodes) > len(m.unique) {
+		m.growUnique()
+	}
+	if len(m.nodes) > len(m.cache) && len(m.cache) < maxCacheSlots {
+		m.growCache()
+	}
 	return r
+}
+
+// growUnique doubles the unique table and reinserts every decision node.
+func (m *Manager) growUnique() {
+	m.unique = make([]Ref, 2*len(m.unique))
+	mask := uint32(len(m.unique) - 1)
+	for r := Ref(2); int(r) < len(m.nodes); r++ {
+		n := m.nodes[r]
+		i := hashKey(0, Ref(n.level), n.lo, n.hi) & mask
+		for m.unique[i] != 0 {
+			i = (i + 1) & mask
+		}
+		m.unique[i] = r
+	}
+}
+
+// growCache doubles the computed cache. An entry's new slot is its old
+// one or the old one plus the old size, so no two entries collide and
+// none is lost.
+func (m *Manager) growCache() {
+	old := m.cache
+	m.cache = make([]cacheEntry, 2*len(old))
+	mask := uint32(len(m.cache) - 1)
+	for _, e := range old {
+		if e.op != 0 {
+			m.cache[hashKey(e.op, e.a, e.b, e.c)&mask] = e
+		}
+	}
+}
+
+// lookup returns the cached result of op(a, b, c), whose hashKey is h.
+func (m *Manager) lookup(h, op uint32, a, b, c Ref) (Ref, bool) {
+	e := &m.cache[h&uint32(len(m.cache)-1)]
+	if e.op == op && e.a == a && e.b == b && e.c == c {
+		return e.r, true
+	}
+	return False, false
+}
+
+// store caches r = op(a, b, c), whose hashKey is h, evicting the slot's
+// previous entry.
+func (m *Manager) store(h, op uint32, a, b, c, r Ref) {
+	m.cache[h&uint32(len(m.cache)-1)] = cacheEntry{op: op, a: a, b: b, c: c, r: r}
 }
 
 func (m *Manager) level(f Ref) int32 { return m.nodes[f].level }
@@ -337,8 +441,8 @@ func (m *Manager) ITE(f, g, h Ref) Ref {
 	case g == True && h == False:
 		return f
 	}
-	key := opKey{op: opITE, f: f, g: g, h: h}
-	if r, ok := m.cache[key]; ok {
+	key := hashKey(opITE, f, g, h)
+	if r, ok := m.lookup(key, opITE, f, g, h); ok {
 		m.met.iteHit.Inc()
 		return r
 	}
@@ -357,7 +461,7 @@ func (m *Manager) ITE(f, g, h Ref) Ref {
 	lo := m.ITE(f0, g0, h0)
 	hi := m.ITE(f1, g1, h1)
 	r := m.mk(top, lo, hi)
-	m.cache[key] = r
+	m.store(key, opITE, f, g, h, r)
 	return r
 }
 
@@ -429,61 +533,104 @@ func (m *Manager) Restrict(f Ref, name string, val bool) Ref {
 }
 
 func (m *Manager) restrictLevel(f Ref, level int32, val bool) Ref {
-	if IsConst(f) || m.level(f) > level {
+	n := m.nodes[f]
+	if n.level > level { // terminals sit below every level
 		return f
 	}
-	sel := False
-	if val {
-		sel = True
+	if n.level == level {
+		if val {
+			return n.hi
+		}
+		return n.lo
 	}
-	key := opKey{op: opRestrict, f: f, g: m.mk(level, False, True), h: sel}
-	if r, ok := m.cache[key]; ok {
+	sel := Constant(val)
+	key := hashKey(opRestrict, f, Ref(level), sel)
+	if r, ok := m.lookup(key, opRestrict, f, Ref(level), sel); ok {
 		m.met.restrictHit.Inc()
 		return r
 	}
 	m.met.restrictMiss.Inc()
-	n := m.nodes[f]
-	var r Ref
-	if n.level == level {
-		if val {
-			r = n.hi
-		} else {
-			r = n.lo
-		}
-	} else {
-		r = m.mk(n.level,
-			m.restrictLevel(n.lo, level, val),
-			m.restrictLevel(n.hi, level, val))
-	}
-	m.cache[key] = r
+	r := m.mk(n.level,
+		m.restrictLevel(n.lo, level, val),
+		m.restrictLevel(n.hi, level, val))
+	m.store(key, opRestrict, f, Ref(level), sel, r)
 	return r
 }
 
-// Compose substitutes g for the named variable inside f.
-func (m *Manager) Compose(f Ref, name string, g Ref) Ref {
-	l, ok := m.varIdx[name]
-	if !ok {
+// noSub marks a level Compose leaves in place.
+const noSub Ref = -1
+
+// Compose substitutes gs[i] for the variable names[i] inside f, all in
+// one pass over f. The substitution is simultaneous: a gs[i] that
+// mentions a substituted variable keeps that variable. Names the manager
+// has not declared are ignored, and a repeated name takes its last g.
+func (m *Manager) Compose(f Ref, names []string, gs []Ref) Ref {
+	if len(names) != len(gs) {
+		//lint:allow nopanic length mismatch is a caller bug
+		panic(fmt.Sprintf("bdd: Compose of %d names with %d functions", len(names), len(gs)))
+	}
+	m.bindSubst(names, gs)
+	return m.compose(f)
+}
+
+// bindSubst makes (names, gs) Compose's substitution and starts a new
+// cache epoch, so no entry of an earlier call can match.
+func (m *Manager) bindSubst(names []string, gs []Ref) {
+	m.sub = m.sub[:0]
+	for range m.vars {
+		m.sub = append(m.sub, noSub)
+	}
+	m.subMax = -1
+	for i, name := range names {
+		if l, ok := m.varIdx[name]; ok {
+			m.sub[l] = gs[i]
+			m.subMax = max(m.subMax, int32(l))
+		}
+	}
+	m.subEpoch++
+	if m.subEpoch == 0 {
+		// The epoch wrapped: entries of an old substitution could match.
+		clear(m.cache)
+	}
+}
+
+func (m *Manager) compose(f Ref) Ref {
+	n := m.nodes[f]
+	if n.level > m.subMax { // no substituted variable at or below f's top
 		return f
 	}
-	hi := m.restrictLevel(f, int32(l), true)
-	lo := m.restrictLevel(f, int32(l), false)
-	return m.ITE(g, hi, lo)
+	epoch := Ref(m.subEpoch)
+	key := hashKey(opCompose, f, epoch, False)
+	if r, ok := m.lookup(key, opCompose, f, epoch, False); ok {
+		m.met.restrictHit.Inc()
+		return r
+	}
+	m.met.restrictMiss.Inc()
+	lo := m.compose(n.lo)
+	hi := m.compose(n.hi)
+	g := m.sub[n.level]
+	if g == noSub {
+		g = m.mk(n.level, False, True)
+	}
+	r := m.ITE(g, hi, lo)
+	m.store(key, opCompose, f, epoch, False, r)
+	return r
 }
 
 // Exists existentially quantifies the named variable out of f.
 func (m *Manager) Exists(f Ref, name string) Ref {
 	l, ok := m.varIdx[name]
-	if !ok {
+	if !ok || m.level(f) > int32(l) {
 		return f
 	}
-	key := opKey{op: opExists, f: f, g: m.mk(int32(l), False, True)}
-	if r, ok := m.cache[key]; ok {
+	key := hashKey(opExists, f, Ref(l), False)
+	if r, ok := m.lookup(key, opExists, f, Ref(l), False); ok {
 		m.met.existsHit.Inc()
 		return r
 	}
 	m.met.existsMiss.Inc()
 	r := m.Or(m.restrictLevel(f, int32(l), false), m.restrictLevel(f, int32(l), true))
-	m.cache[key] = r
+	m.store(key, opExists, f, Ref(l), False, r)
 	return r
 }
 

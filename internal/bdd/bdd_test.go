@@ -105,13 +105,17 @@ func TestRestrictAndCompose(t *testing.T) {
 		t.Error("restricting an unknown variable must be a no-op")
 	}
 	c := m.Var("c")
-	g := m.Compose(f, "b", m.And(b, c))
+	g := m.Compose(f, []string{"b"}, []Ref{m.And(b, c)})
 	want := m.Xor(a, m.And(b, c))
 	if g != want {
 		t.Error("compose mismatch")
 	}
-	if m.Compose(f, "zzz", c) != f {
+	if m.Compose(f, []string{"zzz"}, []Ref{c}) != f {
 		t.Error("composing an unknown variable must be a no-op")
+	}
+	// Simultaneous substitution: a and b swap places.
+	if got := m.Compose(m.And(a, m.Not(b)), []string{"a", "b"}, []Ref{b, a}); got != m.And(b, m.Not(a)) {
+		t.Error("simultaneous compose mismatch")
 	}
 }
 
@@ -453,7 +457,7 @@ func TestOpsMatchTruthTables(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }
@@ -490,7 +494,7 @@ func TestShannonExpansionProperty(t *testing.T) {
 			m.And(m.Not(xv), m.Restrict(fn, x, false)))
 		return rebuilt == fn
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }

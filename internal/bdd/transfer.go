@@ -36,6 +36,9 @@ type Stats struct {
 	Vars      int
 	Nodes     int
 	PeakNodes int
+	// CacheSize is the computed cache's slot count, not its live entries:
+	// it doubles with the arena up to a fixed cap, and a slot may be
+	// empty or hold any one recent result.
 	CacheSize int
 }
 

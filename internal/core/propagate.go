@@ -60,31 +60,15 @@ type PropResult struct {
 // the paper's procedure ("a test vector is generated by simply choosing a
 // path in the OBDD leading to D").
 func (p *Propagator) Propagate(pattern []waveform.Composite) (PropResult, bool, error) {
-	if len(pattern) != len(p.mx.Binding) {
-		return PropResult{}, false, fmt.Errorf("core: pattern of %d values for %d comparators",
-			len(pattern), len(p.mx.Binding))
+	roots, err := p.substitute(pattern)
+	if err != nil {
+		return PropResult{}, false, err
 	}
 	m := p.gen.Manager()
-	sub := make(map[string]bdd.Ref, len(p.mx.Binding))
-	for k, name := range p.mx.Binding {
-		switch pattern[k] {
-		case waveform.Zero:
-			sub[name] = bdd.False
-		case waveform.One:
-			sub[name] = bdd.True
-		case waveform.D:
-			sub[name] = p.d
-		case waveform.DBar:
-			sub[name] = m.Not(p.d)
-		}
-	}
 	var res PropResult
 	allDiff := bdd.False
-	for _, o := range p.mx.Digital.Outputs() {
-		f := p.gen.GoodFunction(o)
-		for name, g := range sub {
-			f = m.Compose(f, name, g)
-		}
+	for i, o := range p.mx.Digital.Outputs() {
+		f := roots[i]
 		if !m.DependsOn(f, DVar) {
 			continue
 		}
@@ -131,27 +115,49 @@ func ComparatorPattern(n, target int, v waveform.Composite) []waveform.Composite
 // OutputOBDDs returns the named outputs' OBDDs after substituting the
 // pattern, for rendering Figure 6-style diagrams.
 func (p *Propagator) OutputOBDDs(pattern []waveform.Composite) (names []string, roots []bdd.Ref, err error) {
+	roots, err = p.substitute(pattern)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, o := range p.mx.Digital.Outputs() {
+		names = append(names, p.mx.Digital.Signal(o).Name)
+	}
+	return names, roots, nil
+}
+
+// substitute returns every digital output's OBDD, in output order, with
+// the pattern's values substituted for the bound lines: a constant, D
+// (good=1/faulty=0) or ¬D. Each output takes one Compose over the
+// binding in binding order.
+func (p *Propagator) substitute(pattern []waveform.Composite) ([]bdd.Ref, error) {
 	if len(pattern) != len(p.mx.Binding) {
-		return nil, nil, fmt.Errorf("core: pattern of %d values for %d comparators",
+		return nil, fmt.Errorf("core: pattern of %d values for %d comparators",
 			len(pattern), len(p.mx.Binding))
 	}
 	m := p.gen.Manager()
-	for _, o := range p.mx.Digital.Outputs() {
-		f := p.gen.GoodFunction(o)
-		for k, name := range p.mx.Binding {
-			switch pattern[k] {
-			case waveform.Zero:
-				f = m.Compose(f, name, bdd.False)
-			case waveform.One:
-				f = m.Compose(f, name, bdd.True)
-			case waveform.D:
-				f = m.Compose(f, name, p.d)
-			case waveform.DBar:
-				f = m.Compose(f, name, m.Not(p.d))
-			}
+	var names []string
+	var gs []bdd.Ref
+	for k, name := range p.mx.Binding {
+		var g bdd.Ref
+		switch pattern[k] {
+		case waveform.Zero:
+			g = bdd.False
+		case waveform.One:
+			g = bdd.True
+		case waveform.D:
+			g = p.d
+		case waveform.DBar:
+			g = m.Not(p.d)
+		default:
+			continue
 		}
-		names = append(names, p.mx.Digital.Signal(o).Name)
-		roots = append(roots, f)
+		names = append(names, name)
+		gs = append(gs, g)
 	}
-	return names, roots, nil
+	outs := p.mx.Digital.Outputs()
+	roots := make([]bdd.Ref, len(outs))
+	for i, o := range outs {
+		roots[i] = m.Compose(p.gen.GoodFunction(o), names, gs)
+	}
+	return roots, nil
 }

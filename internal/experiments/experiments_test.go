@@ -371,6 +371,14 @@ func TestExperimentsDeterministic(t *testing.T) {
 			t.Errorf("%s: output not deterministic", id)
 		}
 	}
+	// Figure 6's DOT names nodes by Ref, so it repeats only if every BDD
+	// operation behind it runs in the same order (tables -json prints it).
+	dot := run(t, "fig6").Data.(Fig6Data).Dot
+	for i := 0; i < 20; i++ {
+		if got := run(t, "fig6").Data.(Fig6Data).Dot; got != dot {
+			t.Fatalf("fig6 DOT differs on run %d:\n%s\nfirst run:\n%s", i+2, got, dot)
+		}
+	}
 }
 
 func TestBoundInputsDeterministic(t *testing.T) {
