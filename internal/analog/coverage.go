@@ -1,6 +1,7 @@
 package analog
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -20,9 +21,13 @@ type Matrix struct {
 }
 
 // BuildMatrix computes the full worst-case deviation matrix for the
-// given elements and parameters. Each element row leaves one "analog.ed"
-// event carrying its best (smallest) worst-case deviation and the
-// parameter achieving it — the per-element record of Equation 1.
+// given elements and parameters. Each cell is WorstCaseED(c, element,
+// parameter, elements, opt), but the cells of a column share the
+// parameter's nominal value and masking sensitivities, so the matrix
+// measures each T₀ once and each S_e(p) once. Each element row leaves
+// one "analog.ed" event carrying its best (smallest) worst-case
+// deviation and the parameter achieving it — the per-element record of
+// Equation 1.
 func BuildMatrix(c *mna.Circuit, elements []string, params []Parameter, opt EDOptions) (*Matrix, error) {
 	defer obs.Default.StartSpan("analog.build_matrix").End()
 	m := &Matrix{
@@ -30,11 +35,15 @@ func BuildMatrix(c *mna.Circuit, elements []string, params []Parameter, opt EDOp
 		Params:   append([]Parameter(nil), params...),
 		ED:       make([][]float64, len(elements)),
 	}
+	cols := make([]*column, len(params))
+	for j, p := range params {
+		cols[j] = newColumn(c, p, opt.Step)
+	}
 	for i, e := range elements {
 		start := time.Now()
 		m.ED[i] = make([]float64, len(params))
 		for j, p := range params {
-			ed, err := WorstCaseED(c, e, p, elements, opt)
+			ed, err := cols[j].worstCaseED(e, elements, opt)
 			if err != nil {
 				return nil, fmt.Errorf("analog: ED(%s, %s): %w", e, p.Name(), err)
 			}
@@ -50,6 +59,34 @@ func BuildMatrix(c *mna.Circuit, elements []string, params []Parameter, opt EDOp
 		}
 	}
 	return m, nil
+}
+
+// MarshalJSON encodes the matrix with every unobservable ED as null,
+// since JSON has no +Inf.
+func (m Matrix) MarshalJSON() ([]byte, error) {
+	type plain Matrix
+	ed := make([][]*float64, len(m.ED))
+	for i, row := range m.ED {
+		ed[i] = make([]*float64, len(row))
+		for j, v := range row {
+			ed[i][j] = NullIfUnobservable(v)
+		}
+	}
+	return json.Marshal(struct {
+		plain
+		ED [][]*float64
+	}{plain(m), ed})
+}
+
+// NullIfUnobservable returns ed as encoding/json can carry it: nil,
+// encoded as null, for an unobservable deviation (+Inf has no JSON
+// form), and ed itself otherwise. The marshalers of every payload that
+// holds EDs use it.
+func NullIfUnobservable(ed float64) *float64 {
+	if Unobservable(ed) {
+		return nil
+	}
+	return &ed
 }
 
 // ParamNames returns the parameter labels in column order.
@@ -124,6 +161,20 @@ func (m *Matrix) ParamsFor(elem string) []int {
 type TestSet struct {
 	ParamIdx  []int
 	ElementED map[string]float64
+}
+
+// MarshalJSON encodes the test set with every unobservable element ED
+// as null, since JSON has no +Inf.
+func (ts TestSet) MarshalJSON() ([]byte, error) {
+	type plain TestSet
+	ed := make(map[string]*float64, len(ts.ElementED))
+	for e, v := range ts.ElementED {
+		ed[e] = NullIfUnobservable(v)
+	}
+	return json.Marshal(struct {
+		plain
+		ElementED map[string]*float64
+	}{plain(ts), ed})
 }
 
 // Covered reports whether every element has a finite ED under the set.

@@ -116,13 +116,5 @@ func MonteCarlo(c *mna.Circuit, elements []string, params []Parameter, elemTol f
 // Σₑ |Sₑ(T)|·tol that WorstCaseED adds to the detection threshold — the
 // quantity Monte Carlo runs are compared against.
 func MaskingSlack(c *mna.Circuit, elements []string, p Parameter, elemTol, step float64) (float64, error) {
-	slack := 0.0
-	for _, e := range elements {
-		s, err := Sensitivity(c, e, p, step)
-		if err != nil {
-			return 0, err
-		}
-		slack += math.Abs(s) * elemTol
-	}
-	return slack, nil
+	return newColumn(c, p, step).slack(elements, "", elemTol)
 }

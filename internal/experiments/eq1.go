@@ -9,10 +9,9 @@ import (
 // worst-case element-deviation matrix of the second-order band-pass and
 // the selected parameter test set.
 type Eq1Data struct {
-	Matrix    *analog.Matrix
-	TestSet   *analog.TestSet
-	SetNames  []string
-	ElementED map[string]float64
+	Matrix   *analog.Matrix
+	TestSet  *analog.TestSet
+	SetNames []string
 }
 
 func init() {
@@ -50,10 +49,9 @@ func runEq1() (*Result, error) {
 		Title: "Equation 1: ED[%] per element × parameter, 2nd-order band-pass",
 		Text:  table("Equation 1 — worst-case deviations (percent; — = unobservable)", rows),
 		Data: Eq1Data{
-			Matrix:    matrix,
-			TestSet:   ts,
-			SetNames:  ts.ParamNames(matrix),
-			ElementED: ts.ElementED,
+			Matrix:   matrix,
+			TestSet:  ts,
+			SetNames: ts.ParamNames(matrix),
 		},
 	}, nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 
@@ -23,6 +24,16 @@ type Table3Row struct {
 	Case2ED     float64 // +Inf when not testable in the mixed circuit
 	Comparator  int     // comparator used in case 2
 	DigitalOuts []string
+}
+
+// MarshalJSON encodes the row with an unobservable ED as null, since
+// JSON has no +Inf.
+func (r Table3Row) MarshalJSON() ([]byte, error) {
+	type plain Table3Row
+	return json.Marshal(struct {
+		plain
+		ED, Case2ED *float64
+	}{plain(r), analog.NullIfUnobservable(r.ED), analog.NullIfUnobservable(r.Case2ED)})
 }
 
 // Table3Data is the full experiment payload.

@@ -25,16 +25,20 @@ type Solution struct {
 func (s *Solution) Freq() float64 { return s.freq }
 
 // V returns the phasor voltage at the named node.
-func (s *Solution) V(node string) complex128 {
+func (s *Solution) V(node string) complex128 { return s.v[s.circuit.nodeIndex(node)] }
+
+// nodeIndex resolves a node name to its index, 0 for ground. It panics
+// for a node the circuit does not have.
+func (c *Circuit) nodeIndex(node string) int {
 	if isGround(node) {
 		return 0
 	}
-	idx, ok := s.circuit.nodes[node]
+	idx, ok := c.nodes[node]
 	if !ok {
 		//lint:allow nopanic probing an unknown node is a caller bug in experiment code
-		panic(fmt.Sprintf("mna: no node %q in circuit %q", node, s.circuit.name))
+		panic(fmt.Sprintf("mna: no node %q in circuit %q", node, c.name))
 	}
-	return s.v[idx]
+	return idx
 }
 
 // Mag returns |V(node)|.
@@ -60,11 +64,42 @@ func (s *Solution) BranchCurrent(name string) complex128 {
 	return i
 }
 
-// assemble builds the complex MNA system at angular frequency omega.
-// Unknown ordering: node voltages 1..N-1 (node 0 is ground and eliminated),
-// then one current unknown per group-2 element.
-func (c *Circuit) assemble(omega float64) (a [][]complex128, b []complex128, nNodes int) {
-	nNodes = len(c.nodeName) - 1
+// workspace is a circuit's solve storage: the MNA matrix, right-hand
+// side, row scales and solution. It is allocated on the first solve and
+// regrown only when the number of unknowns changes, so a frequency sweep
+// or an ED search solves without allocating. Sharing it is what keeps a
+// Circuit single-goroutine: two concurrent analyses of one circuit would
+// assemble into the same matrix.
+type workspace struct {
+	a     [][]complex128
+	b, x  []complex128
+	scale []float64
+}
+
+// prepare zeroes the workspace for a system of n unknowns, reallocating
+// it when n differs from the last solve's. Pivoting reorders the rows of
+// a, but they still cover one backing array between them, so clearing
+// every row clears the whole matrix.
+func (w *workspace) prepare(n int) {
+	if len(w.b) != n {
+		w.a = numeric.NewComplexMatrix(n)
+		w.b = make([]complex128, n)
+		w.x = make([]complex128, n)
+		w.scale = make([]float64, n)
+		return
+	}
+	for _, row := range w.a {
+		clear(row)
+	}
+	clear(w.b)
+}
+
+// assemble stamps the complex MNA system at angular frequency omega into
+// the circuit's workspace. Unknown ordering: node voltages 1..N-1 (node 0
+// is ground and eliminated), then one current unknown per group-2
+// element.
+func (c *Circuit) assemble(omega float64) {
+	nNodes := c.NumNodes()
 	nBranch := 0
 	for _, e := range c.elems {
 		if e.needsBranch() {
@@ -74,9 +109,8 @@ func (c *Circuit) assemble(omega float64) (a [][]complex128, b []complex128, nNo
 			e.branch = -1
 		}
 	}
-	n := nNodes + nBranch
-	a = numeric.NewComplexMatrix(n)
-	b = make([]complex128, n)
+	c.ws.prepare(nNodes + nBranch)
+	a, b := c.ws.a, c.ws.b
 
 	// row/col index for a node: node 0 (ground) maps to -1 (dropped).
 	ix := func(node int) int { return node - 1 }
@@ -148,7 +182,6 @@ func (c *Circuit) assemble(omega float64) (a [][]complex128, b []complex128, nNo
 			addA(ix(e.b), br, -1)
 		}
 	}
-	return a, b, nNodes
 }
 
 func stampAdmittance(addA func(r, c int, v complex128), ia, ib int, y complex128) {
@@ -194,10 +227,16 @@ func (c *Circuit) Instrument(col *obs.Collector) {
 	}
 }
 
-// solve runs the analysis at angular frequency omega. It fails fast on
-// a recorded construction error, a done bound context, or an exhausted
-// solve budget — the hardened-execution entry point for analog work.
-func (c *Circuit) solve(omega, freq float64) (*Solution, error) {
+// solve runs the analysis at f hertz (0 for DC) into the circuit's
+// workspace and returns the unknowns: node voltages 1..N-1, then branch
+// currents. The slice is the workspace's own and the next solve
+// overwrites it. solve fails fast on a negative frequency, a recorded
+// construction error, a done bound context, or an exhausted solve
+// budget — the hardened-execution entry point for analog work.
+func (c *Circuit) solve(f float64) ([]complex128, error) {
+	if f < 0 {
+		return nil, fmt.Errorf("mna: negative frequency %g", f)
+	}
 	if c.buildErr != nil {
 		return nil, fmt.Errorf("mna: circuit %q has a construction error: %w", c.name, c.buildErr)
 	}
@@ -220,17 +259,28 @@ func (c *Circuit) solve(omega, freq float64) (*Solution, error) {
 	if c.met != nil {
 		dc, ac, size = c.met.solvesDC, c.met.solvesAC, c.met.solveSize
 	}
-	if freq == 0 {
+	if f == 0 {
 		dc.Inc()
 	} else {
 		ac.Inc()
 	}
-	a, b, nNodes := c.assemble(omega)
-	size.Observe(int64(len(b)))
-	x, err := numeric.SolveComplex(a, b)
-	if err != nil {
-		return nil, fmt.Errorf("mna: circuit %q at f=%g Hz: %w", c.name, freq, err)
+	c.assemble(2 * math.Pi * f)
+	w := &c.ws
+	size.Observe(int64(len(w.b)))
+	if err := numeric.SolveComplexInto(w.a, w.b, w.x, w.scale); err != nil {
+		return nil, fmt.Errorf("mna: circuit %q at f=%g Hz: %w", c.name, f, err)
 	}
+	return w.x, nil
+}
+
+// solution runs solve and copies its unknowns into a Solution that owns
+// them, so later solves of the circuit leave it unchanged.
+func (c *Circuit) solution(f float64) (*Solution, error) {
+	x, err := c.solve(f)
+	if err != nil {
+		return nil, err
+	}
+	nNodes := c.NumNodes()
 	v := make([]complex128, nNodes+1)
 	copy(v[1:], x[:nNodes])
 	branch := map[string]complex128{}
@@ -239,28 +289,23 @@ func (c *Circuit) solve(omega, freq float64) (*Solution, error) {
 			branch[e.name] = x[e.branch]
 		}
 	}
-	return &Solution{circuit: c, freq: freq, v: v, branch: branch}, nil
+	return &Solution{circuit: c, freq: f, v: v, branch: branch}, nil
 }
 
 // AC performs a phasor analysis at frequency f in hertz. All independent
 // sources contribute their AC amplitudes at zero phase.
-func (c *Circuit) AC(f float64) (*Solution, error) {
-	if f < 0 {
-		return nil, fmt.Errorf("mna: negative frequency %g", f)
-	}
-	return c.solve(2*math.Pi*f, f)
-}
+func (c *Circuit) AC(f float64) (*Solution, error) { return c.solution(f) }
 
 // DC performs an operating-point analysis: capacitors open, inductors
 // short, sources at their DC values.
-func (c *Circuit) DC() (*Solution, error) {
-	return c.solve(0, 0)
-}
+func (c *Circuit) DC() (*Solution, error) { return c.solution(0) }
 
 // Gain returns the complex voltage transfer V(out)/V(in-source amplitude)
 // at frequency f. The circuit must contain exactly one voltage source with
 // a nonzero AC amplitude (for f > 0) or a nonzero DC value (for f = 0);
-// Gain normalises by it, so the absolute drive level cancels out.
+// Gain normalises by it, so the absolute drive level cancels out. It
+// reads the output straight from the solve workspace, without building a
+// Solution.
 func (c *Circuit) Gain(out string, f float64) (complex128, error) {
 	var src *element
 	for _, e := range c.elems {
@@ -282,22 +327,19 @@ func (c *Circuit) Gain(out string, f float64) (complex128, error) {
 	if src == nil {
 		return 0, fmt.Errorf("mna: circuit %q has no active voltage source", c.name)
 	}
-	sol, err := c.solveAt(f)
+	x, err := c.solve(f)
 	if err != nil {
 		return 0, err
+	}
+	var v complex128
+	if idx := c.nodeIndex(out); idx > 0 {
+		v = x[idx-1]
 	}
 	amp := src.value
 	if f == 0 {
 		amp = src.dc
 	}
-	return sol.V(out) / complex(amp, 0), nil
-}
-
-func (c *Circuit) solveAt(f float64) (*Solution, error) {
-	if f == 0 {
-		return c.DC()
-	}
-	return c.AC(f)
+	return v / complex(amp, 0), nil
 }
 
 // GainMag returns |Gain(out, f)|.
@@ -325,7 +367,7 @@ func (c *Circuit) InputImpedance(source string, f float64) (complex128, error) {
 	if amp == 0 {
 		return 0, fmt.Errorf("mna: source %q is inactive at f=%g", source, f)
 	}
-	sol, err := c.solveAt(f)
+	sol, err := c.solution(f)
 	if err != nil {
 		return 0, err
 	}

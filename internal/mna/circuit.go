@@ -15,6 +15,10 @@ import (
 // every solve fails fast on a circuit with a recorded build error. This
 // keeps the fluent AddR/AddC/... style usable on untrusted input
 // (netlists, generated profiles) without a recover at every call site.
+//
+// A Circuit is single-goroutine: every analysis assembles and solves in
+// one workspace the circuit owns. Concurrent work needs one circuit per
+// goroutine, as core.MixedFactory already builds per worker.
 type Circuit struct {
 	name     string
 	nodes    map[string]int // node name → index; ground is 0
@@ -27,6 +31,7 @@ type Circuit struct {
 	budget   int64           // max solves when > 0
 	solves   int64           // solves performed under the budget
 	met      *mnaMetrics     // per-circuit handles; nil = process-wide
+	ws       workspace       // solve storage, sized on the first solve
 }
 
 // New returns an empty circuit with the given descriptive name.

@@ -28,32 +28,53 @@ const pivotEps = 1e-13
 // row-major order and is modified in place, as is b; the solution is
 // returned in a fresh slice. The matrix must be square and match len(b).
 func SolveComplex(a [][]complex128, b []complex128) ([]complex128, error) {
+	x := make([]complex128, len(b))
+	if err := SolveComplexInto(a, b, x, make([]float64, len(b))); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// SolveComplexInto is SolveComplex with caller-owned storage: the
+// solution is written to x and scale is scratch for the row scale
+// factors, both of length len(b). It allocates nothing, so a caller that
+// solves many systems of one size (an MNA circuit swept over frequency)
+// reuses one set of buffers. A and b are modified in place; the rows of
+// A are reordered by pivoting.
+func SolveComplexInto(a [][]complex128, b, x []complex128, scale []float64) error {
 	n := len(a)
 	if n == 0 {
-		return nil, errors.New("numeric: empty system")
+		return errors.New("numeric: empty system")
 	}
 	if len(b) != n {
-		return nil, fmt.Errorf("numeric: dimension mismatch: %d rows, %d rhs", n, len(b))
+		return fmt.Errorf("numeric: dimension mismatch: %d rows, %d rhs", n, len(b))
+	}
+	if len(x) != n || len(scale) != n {
+		return fmt.Errorf("numeric: scratch has %d solution and %d scale entries, want %d", len(x), len(scale), n)
 	}
 	for i, row := range a {
 		if len(row) != n {
-			return nil, fmt.Errorf("numeric: row %d has %d columns, want %d", i, len(row), n)
+			return fmt.Errorf("numeric: row %d has %d columns, want %d", i, len(row), n)
 		}
 	}
 
 	// Scale factor per row for scaled partial pivoting keeps the
 	// elimination stable when MNA stamps mix conductances of very
-	// different magnitudes (1/R vs. ωC).
-	scale := make([]float64, n)
+	// different magnitudes (1/R vs. ωC). MNA rows are mostly exact
+	// zeros, and a zero can never win the maximum here or in the pivot
+	// scan below, so both scans skip them without changing a pivot.
 	for i := 0; i < n; i++ {
 		s := 0.0
-		for j := 0; j < n; j++ {
-			if m := cmplx.Abs(a[i][j]); m > s {
+		for _, v := range a[i] {
+			if v == 0 {
+				continue
+			}
+			if m := cmplx.Abs(v); m > s {
 				s = m
 			}
 		}
 		if s == 0 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		scale[i] = s
 	}
@@ -62,12 +83,15 @@ func SolveComplex(a [][]complex128, b []complex128) ([]complex128, error) {
 		// Select pivot row.
 		p, best := k, cmplx.Abs(a[k][k])/scale[k]
 		for i := k + 1; i < n; i++ {
+			if a[i][k] == 0 {
+				continue
+			}
 			if m := cmplx.Abs(a[i][k]) / scale[i]; m > best {
 				p, best = i, m
 			}
 		}
 		if best < pivotEps {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		if p != k {
 			a[p], a[k] = a[k], a[p]
@@ -88,7 +112,6 @@ func SolveComplex(a [][]complex128, b []complex128) ([]complex128, error) {
 		}
 	}
 
-	x := make([]complex128, n)
 	for i := n - 1; i >= 0; i-- {
 		sum := b[i]
 		for j := i + 1; j < n; j++ {
@@ -96,7 +119,7 @@ func SolveComplex(a [][]complex128, b []complex128) ([]complex128, error) {
 		}
 		x[i] = sum / a[i][i]
 	}
-	return x, nil
+	return nil
 }
 
 // SolveReal solves A·x = b over the reals with scaled partial pivoting.

@@ -154,3 +154,173 @@ func TestLogspacePanicsOnNonPositive(t *testing.T) {
 	}()
 	Logspace(0, 10, 3)
 }
+
+// refSolveComplex is SolveComplex's elimination as it stood before the
+// zero skips and caller scratch, kept as the oracle that they move no
+// pivot and no bit of the result. It reports the row swaps it made.
+func refSolveComplex(a [][]complex128, b []complex128) ([]complex128, int, error) {
+	n := len(a)
+	scale := make([]float64, n)
+	for i := 0; i < n; i++ {
+		s := 0.0
+		for j := 0; j < n; j++ {
+			if m := cmplx.Abs(a[i][j]); m > s {
+				s = m
+			}
+		}
+		if s == 0 {
+			return nil, 0, ErrSingular
+		}
+		scale[i] = s
+	}
+	swaps := 0
+	for k := 0; k < n; k++ {
+		p, best := k, cmplx.Abs(a[k][k])/scale[k]
+		for i := k + 1; i < n; i++ {
+			if m := cmplx.Abs(a[i][k]) / scale[i]; m > best {
+				p, best = i, m
+			}
+		}
+		if best < pivotEps {
+			return nil, swaps, ErrSingular
+		}
+		if p != k {
+			a[p], a[k] = a[k], a[p]
+			b[p], b[k] = b[k], b[p]
+			scale[p], scale[k] = scale[k], scale[p]
+			swaps++
+		}
+		piv := a[k][k]
+		for i := k + 1; i < n; i++ {
+			if a[i][k] == 0 {
+				continue
+			}
+			m := a[i][k] / piv
+			a[i][k] = 0
+			for j := k + 1; j < n; j++ {
+				a[i][j] -= m * a[k][j]
+			}
+			b[i] -= m * b[k]
+		}
+	}
+	x := make([]complex128, n)
+	for i := n - 1; i >= 0; i-- {
+		sum := b[i]
+		for j := i + 1; j < n; j++ {
+			sum -= a[i][j] * x[j]
+		}
+		x[i] = sum / a[i][i]
+	}
+	return x, swaps, nil
+}
+
+// mnaShapedSystem builds a random system shaped like a Modified Nodal
+// Analysis stamp: conductances, susceptances or both between random node
+// pairs or to ground, and branch rows and columns of ±1 entries for
+// voltage sources (zero diagonal), inductors (−jωL on the diagonal) and
+// VCVSs (control gains in the row). Such systems are mostly exact zeros,
+// need row swaps, and tie in the pivot scan.
+func mnaShapedSystem(r *rand.Rand) ([][]complex128, []complex128) {
+	nodes := 2 + r.Intn(10)
+	branches := r.Intn(4)
+	n := nodes + branches
+	a := NewComplexMatrix(n)
+	b := make([]complex128, n)
+	for e := r.Intn(2 * nodes); e >= 0; e-- {
+		i, j := r.Intn(nodes+1)-1, r.Intn(nodes+1)-1 // -1 is ground
+		if i == j {
+			continue
+		}
+		var y complex128
+		switch r.Intn(3) {
+		case 0:
+			y = complex(math.Pow(10, -6+6*r.Float64()), 0)
+		case 1:
+			y = complex(0, math.Pow(10, -9+6*r.Float64()))
+		default:
+			y = complex(math.Pow(10, -6+6*r.Float64()), math.Pow(10, -9+6*r.Float64()))
+		}
+		if i >= 0 {
+			a[i][i] += y
+		}
+		if j >= 0 {
+			a[j][j] += y
+		}
+		if i >= 0 && j >= 0 {
+			a[i][j] -= y
+			a[j][i] -= y
+		}
+	}
+	for k := 0; k < branches; k++ {
+		br := nodes + k
+		plus, minus := r.Intn(nodes), r.Intn(nodes+1)-1
+		a[br][plus], a[plus][br] = 1, 1
+		if minus >= 0 && minus != plus {
+			a[br][minus], a[minus][br] = -1, -1
+		}
+		switch r.Intn(3) {
+		case 0: // voltage source
+			b[br] = complex(r.NormFloat64(), 0)
+		case 1: // inductor
+			a[br][br] = complex(0, -math.Pow(10, -3+4*r.Float64()))
+		default: // VCVS controlled by a random node
+			a[br][r.Intn(nodes)] -= complex(math.Pow(10, 2*r.Float64()), 0)
+		}
+	}
+	if r.Intn(3) == 0 {
+		b[r.Intn(nodes)] = complex(r.NormFloat64(), r.NormFloat64())
+	}
+	return a, b
+}
+
+// TestSolveComplexMatchesReference checks the zero-skipping,
+// caller-scratch solve against the reference loop with == on seeded
+// MNA-shaped systems, singular ones included. SolveComplexInto runs on
+// scratch left dirty by the previous system, as an MNA workspace reuses
+// it.
+func TestSolveComplexMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	var x []complex128
+	var scale []float64
+	var zeroDiag, swapped, singular int
+	for trial := 0; trial < 2000; trial++ {
+		a, b := mnaShapedSystem(r)
+		n := len(b)
+		for i := range a {
+			if a[i][i] == 0 {
+				zeroDiag++
+				break
+			}
+		}
+		want, swaps, wantErr := refSolveComplex(CloneComplexMatrix(a), append([]complex128(nil), b...))
+		if swaps > 0 {
+			swapped++
+		}
+		if wantErr != nil {
+			singular++
+		}
+		got, err := SolveComplex(CloneComplexMatrix(a), append([]complex128(nil), b...))
+		if len(x) != n {
+			x, scale = make([]complex128, n), make([]float64, n)
+			for i := range x {
+				x[i], scale[i] = complex(math.NaN(), 1), -1
+			}
+		}
+		intoErr := SolveComplexInto(CloneComplexMatrix(a), append([]complex128(nil), b...), x, scale)
+		if (err == nil) != (wantErr == nil) || (intoErr == nil) != (wantErr == nil) {
+			t.Fatalf("trial %d: errors %v and %v, reference %v", trial, err, intoErr, wantErr)
+		}
+		if wantErr != nil {
+			continue
+		}
+		for i := range want {
+			if got[i] != want[i] || x[i] != want[i] {
+				t.Fatalf("trial %d: x[%d] = %v (SolveComplex), %v (SolveComplexInto), reference %v", trial, i, got[i], x[i], want[i])
+			}
+		}
+	}
+	// The systems must exercise what the zero skips touch.
+	if zeroDiag == 0 || swapped == 0 || singular == 0 {
+		t.Errorf("zero diagonals in %d systems, row swaps in %d, singular %d; want each > 0", zeroDiag, swapped, singular)
+	}
+}
