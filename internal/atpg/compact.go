@@ -12,32 +12,21 @@ import "repro/internal/faults"
 //
 // The returned set preserves the relative order of the surviving vectors
 // and detects exactly the same faults of fs as the input set.
+//
+// One Detect over the reversed list finds each fault's first detector in
+// reverse order, and a vector survives exactly when it is that first
+// detector for some fault: the vectors a per-vector reverse loop with
+// fault dropping keeps.
 func (g *Generator) Compact(vectors []faults.Vector, fs []faults.Fault) []faults.Vector {
-	sim := faults.NewSimulator(g.c)
-	detected := make([]bool, len(fs))
+	rev := make([]faults.Vector, len(vectors))
+	for i, v := range vectors {
+		rev[len(vectors)-1-i] = v
+	}
 	keep := make([]bool, len(vectors))
-	for vi := len(vectors) - 1; vi >= 0; vi-- {
-		// Remaining faults this vector might newly detect.
-		var remIdx []int
-		var rem []faults.Fault
-		for i, f := range fs {
-			if !detected[i] {
-				remIdx = append(remIdx, i)
-				rem = append(rem, f)
-			}
+	for _, d := range faults.NewSimulator(g.c).Detect(rev, fs) {
+		if d >= 0 {
+			keep[len(vectors)-1-d] = true
 		}
-		if len(rem) == 0 {
-			break
-		}
-		res := sim.Detect([]faults.Vector{vectors[vi]}, rem)
-		newly := false
-		for j, d := range res {
-			if d >= 0 {
-				detected[remIdx[j]] = true
-				newly = true
-			}
-		}
-		keep[vi] = newly
 	}
 	var out []faults.Vector
 	for i, v := range vectors {

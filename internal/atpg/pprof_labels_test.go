@@ -2,65 +2,87 @@ package atpg
 
 import (
 	"bytes"
-	"compress/gzip"
-	"io"
+	"context"
+	"runtime"
 	"runtime/pprof"
+	"strings"
+	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/faults"
 )
 
-// TestCPUProfileCarriesPhaseLabels proves the pprof.Do wrapping in the
-// run loop actually reaches the profiler: a CPU profile captured while
-// ATPG runs must contain the phase label strings, which is what makes
-// `go tool pprof -tags` attribution from the live ops server work. The
-// profile proto's string table is stored as raw UTF-8 inside the
-// gzipped payload, so decompress-and-search needs no proto decoder.
-func TestCPUProfileCarriesPhaseLabels(t *testing.T) {
-	if testing.Short() {
-		t.Skip("CPU-bound profiling test")
-	}
-	sawOwnCode := false
-	for attempt := 0; attempt < 4; attempt++ {
-		var buf bytes.Buffer
-		if err := pprof.StartCPUProfile(&buf); err != nil {
-			t.Skipf("CPU profiling unavailable: %v", err)
-		}
-		// A large random phase keeps the run inside pprof.Do-labeled
-		// regions for nearly all of its CPU time, so the sampler (100Hz)
-		// is all but guaranteed to land labeled samples within 250ms.
-		deadline := time.Now().Add(250 * time.Millisecond)
-		for time.Now().Before(deadline) {
-			c := adder(t)
-			g, err := New(c)
-			if err != nil {
-				pprof.StopCPUProfile()
-				t.Fatal(err)
-			}
-			g.Run(faults.All(c), WithRandomPhase(2000, 1))
-		}
-		pprof.StopCPUProfile()
+// labelProbe is a root context whose Value hook, on the first lookup
+// made from inside a targeted solve, captures the pprof labels of the
+// goroutine making it.
+type labelProbe struct {
+	context.Context
+	once   sync.Once
+	labels string // the "# labels:" line of the solving goroutine
+}
 
-		gz, err := gzip.NewReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("profile is not gzip: %v", err)
+func (p *labelProbe) Value(key any) any {
+	if insideSolve() {
+		p.once.Do(p.capture)
+	}
+	return p.Context.Value(key)
+}
+
+// insideSolve reports whether the caller runs inside the body that
+// solveFault wraps in pprof.Do, where the phase and fault labels apply.
+func insideSolve() bool {
+	pc := make([]uintptr, 64)
+	frames := runtime.CallersFrames(pc[:runtime.Callers(2, pc)])
+	for {
+		f, more := frames.Next()
+		if strings.HasPrefix(f.Function, "repro/internal/atpg.(*Generator).solveFault.func") {
+			return true
 		}
-		raw, err := io.ReadAll(gz)
-		if err != nil {
-			t.Fatalf("decompressing profile: %v", err)
-		}
-		if bytes.Contains(raw, []byte("phase")) &&
-			(bytes.Contains(raw, []byte("random")) || bytes.Contains(raw, []byte("deterministic"))) {
-			return
-		}
-		if bytes.Contains(raw, []byte("repro/internal/atpg")) {
-			sawOwnCode = true
+		if !more {
+			return false
 		}
 	}
-	if sawOwnCode {
-		t.Error("CPU samples landed in the ATPG run loop but carried no phase label — pprof.Do wrapping is not reaching the profiler")
-	} else {
-		t.Skip("no CPU samples landed in ATPG code (heavily loaded or throttled machine)")
+}
+
+// capture writes a debug=1 goroutine profile, which prints each stack's
+// labels above it, and keeps the labels of the stack holding this hook.
+func (p *labelProbe) capture() {
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+		p.labels = "error: " + err.Error()
+		return
+	}
+	for _, rec := range strings.Split(buf.String(), "\n\n") {
+		if !strings.Contains(rec, "(*labelProbe).capture") {
+			continue
+		}
+		for _, line := range strings.Split(rec, "\n") {
+			if strings.HasPrefix(line, "# labels: ") {
+				p.labels = strings.TrimPrefix(line, "# labels: ")
+			}
+		}
+	}
+}
+
+// TestCPUProfileCarriesPhaseLabels proves the pprof.Do wrapping of each
+// targeted solve reaches the profiler: the goroutine running a solve
+// carries the phase and fault labels, which every CPU sample taken on it
+// records and `go tool pprof -tags` reads back. The labels are read
+// deterministically, from a goroutine profile written at the first
+// context lookup made inside a solve, rather than by waiting for the CPU
+// sampler to land in one.
+func TestCPUProfileCarriesPhaseLabels(t *testing.T) {
+	c := adder(t)
+	g, err := New(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := faults.All(c)
+	probe := &labelProbe{Context: context.Background()}
+	g.Run(fs, WithContext(probe))
+	for _, want := range []string{`"phase":"deterministic"`, `"fault":"` + fs[0].Name(c) + `"`} {
+		if !strings.Contains(probe.labels, want) {
+			t.Errorf("solving goroutine's labels = %q, want them to contain %s", probe.labels, want)
+		}
 	}
 }

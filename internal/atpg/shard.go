@@ -98,6 +98,12 @@ type broadcast struct {
 // cross-shard drops are applied deterministically). The per-shard seed
 // is derived from the run seed and the shard id, so the vector stream is
 // reproducible and distinct per shard.
+//
+// Draws are simulated 64 at a time, with ctx checked between chunks. A
+// draw is kept exactly when it is the first in draw order to detect some
+// pending fault — the vectors a one-draw-at-a-time loop with fault
+// dropping keeps — so memory and cancel latency stay bounded however
+// large n is.
 func (sh *oneShard) randomPhase(ctx context.Context, fs []faults.Fault, n int, seed int64) []faults.Vector {
 	var kept []faults.Vector
 	span, ctx := sh.col.StartSpanCtx(ctx, "atpg.random_phase")
@@ -109,32 +115,38 @@ func (sh *oneShard) randomPhase(ctx context.Context, fs []faults.Fault, n int, s
 		rem[j] = fs[i]
 	}
 	pprof.Do(ctx, pprof.Labels("phase", "random"), func(ctx context.Context) {
-		for k := 0; k < n; k++ {
-			if ctx.Err() != nil {
-				break
-			}
-			v := make(faults.Vector, nIn)
-			for i := range v {
-				v[i] = rng.Intn(2) == 1
-			}
-			if g.constraint != bdd.True {
+		chunk := make([]faults.Vector, 0, 64)
+		first := make([]bool, 64)
+		for k := 0; k < n && len(rem) > 0 && ctx.Err() == nil; {
+			chunk = chunk[:0]
+			for end := min(k+64, n); k < end; k++ {
+				v := make(faults.Vector, nIn)
+				for i := range v {
+					v[i] = rng.Intn(2) == 1
+				}
 				// Only patterns satisfying Fc may be applied.
-				if !g.m.Eval(g.constraint, v.Assignment(g.c)) {
-					continue
+				if g.constraint == bdd.True || g.m.Eval(g.constraint, v.Assignment(g.c)) {
+					chunk = append(chunk, v)
 				}
 			}
-			// Keep the faults v misses, in place: det is computed first.
-			det := sh.sim.Detect([]faults.Vector{v}, rem)
+			// Keep the faults the chunk misses, in place: det is
+			// computed first.
+			det := sh.sim.Detect(chunk, rem)
 			still := 0
 			for j, d := range det {
 				if d < 0 {
 					rem[still] = rem[j]
 					still++
+				} else {
+					first[d] = true
 				}
 			}
-			if still < len(rem) {
-				kept = append(kept, v)
-				rem = rem[:still]
+			rem = rem[:still]
+			for b, v := range chunk {
+				if first[b] {
+					kept = append(kept, v)
+					first[b] = false
+				}
 			}
 		}
 	})
@@ -317,14 +329,12 @@ func runShards(c *logic.Circuit, fs []faults.Fault, cfg runConfig, root *obs.Col
 	// applyBatch is the bounded cross-shard vector exchange: the batch of
 	// discovered vectors (in deterministic shard order) is broadcast to
 	// every shard, each shard fault-simulates it against its own pending
-	// faults concurrently — fault simulation is the run's dominant cost,
-	// and this is the axis it parallelises on — and the coordinator then
-	// commits the detections serially in shard-id, fault-index order.
-	// Each detection is credited to the first vector in batch order, so
-	// the outcome is a pure function of the inputs, independent of
-	// goroutine scheduling. Faults in targets get their own "tested"
-	// event from the caller and are only marked here. Returns per-vector
-	// hit counts.
+	// faults concurrently, and the coordinator then commits the
+	// detections serially in shard-id, fault-index order. Each detection
+	// is credited to the first vector in batch order, so the outcome is a
+	// pure function of the inputs, independent of goroutine scheduling.
+	// Faults in targets get their own "tested" event from the caller and
+	// are only marked here. Returns per-vector hit counts.
 	coordSim := faults.NewSimulator(c)
 	applyBatch := func(batch []broadcast, targets map[int]bool, markRandom bool) []int {
 		hits := make([]int, len(batch))
@@ -491,7 +501,9 @@ func runShards(c *logic.Circuit, fs []faults.Fault, cfg runConfig, root *obs.Col
 						return err
 					}
 					// The coordinator is parked at the barrier, so reading
-					// its pending/state arrays here is race-free.
+					// its pending/state arrays here is race-free. The
+					// round's own vectors stay loaded in the shard's
+					// simulator, reloaded only when one is added.
 					var own []faults.Vector
 					for _, i := range sh.pending {
 						if len(recs) >= shardRoundFaults {
@@ -500,20 +512,14 @@ func runShards(c *logic.Circuit, fs []faults.Fault, cfg runConfig, root *obs.Col
 						if state[i] != 0 {
 							continue
 						}
-						covered := false
-						for _, v := range own {
-							if sh.sim.DetectsFault(v, fs[i]) {
-								covered = true // the barrier will drop it
-								break
-							}
-						}
-						if covered {
-							continue
+						if len(own) > 0 && sh.sim.Diff(fs[i]) != 0 {
+							continue // covered: the barrier will drop it
 						}
 						att := sh.gen.solveFault(ctx, cfg.limits, combinationalSolve, fs[i].Name(c), fs[i:i+1])
 						recs = append(recs, solveRec{idx: i, att: att})
 						if att.out.Class == guard.OK && att.ok {
 							own = append(own, att.v)
+							sh.sim.Load(own)
 						}
 					}
 					return nil

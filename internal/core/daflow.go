@@ -154,24 +154,23 @@ func (mx *MixedDA) TestFunctionDA(g *atpg.Generator, f faults.Fault, tau uint64)
 }
 
 // DetectsDA reports whether one vector moves the faulty circuit's code by
-// at least tau LSB — the simulation-side check used for fault dropping.
+// at least tau LSB — the simulation-side check RunDigitalDA's fault
+// dropping applies, there on one simulator for the whole run.
 func (mx *MixedDA) DetectsDA(v faults.Vector, f faults.Fault, tau uint64) bool {
-	in := make([]uint64, len(mx.Digital.Inputs()))
-	for i := range in {
-		if v[i] {
-			in[i] = 1
-		}
-	}
-	goodVals := mx.Digital.SimWords(in)
-	badVals := mx.Digital.SimWordsFaulty(in, f.Override())
+	sim := faults.NewSimulator(mx.Digital)
+	sim.Load([]faults.Vector{v})
+	return mx.movesCode(sim, f, tau, make([]uint64, len(mx.bitIDs)))
+}
+
+// movesCode reports whether f moves the DAC input code by at least tau
+// LSB on the simulator's first loaded vector; bad is scratch space, one
+// word per code bit.
+func (mx *MixedDA) movesCode(sim *faults.Simulator, f faults.Fault, tau uint64, bad []uint64) bool {
+	sim.Faulty(f, mx.bitIDs, bad)
 	var goodCode, badCode int64
 	for i, id := range mx.bitIDs {
-		if goodVals[id]&1 != 0 {
-			goodCode |= 1 << uint(i)
-		}
-		if badVals[id]&1 != 0 {
-			badCode |= 1 << uint(i)
-		}
+		goodCode |= int64(sim.Good(id)&1) << uint(i)
+		badCode |= int64(bad[i]&1) << uint(i)
 	}
 	diff := goodCode - badCode
 	if diff < 0 {
@@ -188,9 +187,12 @@ func (mx *MixedDA) RunDigitalDA(g *atpg.Generator, fs []faults.Fault, tau uint64
 	start := time.Now()
 	res := &DAResult{Tau: tau, Total: len(fs)}
 	state := make([]byte, len(fs)) // 0 pending, 1 detected, 2 untestable
+	sim := faults.NewSimulator(mx.Digital)
+	bad := make([]uint64, len(mx.bitIDs))
 	drop := func(v faults.Vector) {
+		sim.Load([]faults.Vector{v}) // the good circuit, once per vector
 		for i := range fs {
-			if state[i] == 0 && mx.DetectsDA(v, fs[i], tau) {
+			if state[i] == 0 && mx.movesCode(sim, fs[i], tau, bad) {
 				state[i] = 1
 				res.Detected++
 			}

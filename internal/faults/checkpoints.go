@@ -5,8 +5,9 @@ import "repro/internal/logic"
 // Checkpoints returns the checkpoint fault list of the circuit: both
 // stuck-at polarities on every primary input and every fanout branch.
 // A primary output that also drives gates is a fanout stem even with a
-// single consumer — the output and the gate are separate branches — so
-// its gate branches are checkpoints too.
+// single consumer — the output and the gate are separate branches (see
+// logic.(*Circuit).HasBranches) — so its gate branches are checkpoints
+// too, and they are lines of All.
 //
 // By the checkpoint theorem, for circuits built from AND/OR/NAND/NOR/
 // NOT/BUF primitives a test set detecting all checkpoint faults detects
@@ -25,15 +26,10 @@ func Checkpoints(c *logic.Circuit) []Fault {
 			Fault{Signal: id, Consumer: -1, Value: false},
 			Fault{Signal: id, Consumer: -1, Value: true})
 	}
-	observed := map[logic.SigID]bool{}
-	for _, id := range c.Outputs() {
-		observed[id] = true
-	}
 	for id := 0; id < c.NumSignals(); id++ {
 		sid := logic.SigID(id)
-		s := c.Signal(sid)
-		if len(s.Fanout) > 1 || (observed[sid] && len(s.Fanout) == 1) {
-			for _, g := range s.Fanout {
+		if c.HasBranches(sid) {
+			for _, g := range c.Signal(sid).Fanout {
 				out = append(out,
 					Fault{Signal: sid, Consumer: g, Value: false},
 					Fault{Signal: sid, Consumer: g, Value: true})

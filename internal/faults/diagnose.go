@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/logic"
@@ -69,52 +70,42 @@ func BuildDictionary(c *logic.Circuit, vectors []Vector, fs []Fault) (*Dictionar
 		c:       c,
 		vectors: append([]Vector(nil), vectors...),
 		faults:  append([]Fault(nil), fs...),
-		sigs:    make([]Signature, len(fs)),
 		byKey:   map[string][]int{},
 	}
-	// Good responses once per vector.
-	good := make([]uint64, len(vectors))
-	for vi, v := range vectors {
-		good[vi] = d.outputWord(v, NoOverrideFault, false)
-	}
-	for fi, f := range fs {
-		sig := make(Signature, len(vectors))
-		for vi, v := range vectors {
-			bad := d.outputWord(v, f, true)
-			sig[vi] = good[vi] ^ bad
-		}
-		d.sigs[fi] = sig
+	d.sigs = d.signatures(d.faults)
+	for fi, sig := range d.sigs {
 		k := sig.key()
 		d.byKey[k] = append(d.byKey[k], fi)
 	}
 	return d, nil
 }
 
-// NoOverrideFault is a placeholder for good-circuit simulation.
-var NoOverrideFault = Fault{Signal: -1, Consumer: -1}
-
-// outputWord simulates one vector and packs the primary outputs into a
-// word (bit i = output i).
-func (d *Dictionary) outputWord(v Vector, f Fault, faulty bool) uint64 {
-	in := make([]uint64, len(d.c.Inputs()))
-	for i := range in {
-		if v[i] {
-			in[i] = 1
+// signatures simulates each fault against the dictionary's vectors, 64
+// at a time, and transposes the per-output difference words into one
+// miscompare word per vector.
+func (d *Dictionary) signatures(fs []Fault) []Signature {
+	sim := NewSimulator(d.c)
+	outs := d.c.Outputs()
+	bad := make([]uint64, len(outs))
+	sigs := make([]Signature, len(fs))
+	for fi := range sigs {
+		sigs[fi] = make(Signature, len(d.vectors))
+	}
+	for base := 0; base < len(d.vectors); base += 64 {
+		sim.Load(d.vectors[base:])
+		for fi, f := range fs {
+			if sim.Faulty(f, outs, bad) == 0 {
+				continue
+			}
+			for o, id := range outs {
+				diff := (bad[o] ^ sim.Good(id)) & sim.mask
+				for ; diff != 0; diff &= diff - 1 {
+					sigs[fi][base+bits.TrailingZeros64(diff)] |= 1 << uint(o)
+				}
+			}
 		}
 	}
-	var vals []uint64
-	if faulty {
-		vals = d.c.SimWordsFaulty(in, f.Override())
-	} else {
-		vals = d.c.SimWords(in)
-	}
-	var w uint64
-	for i, id := range d.c.Outputs() {
-		if vals[id]&1 != 0 {
-			w |= 1 << uint(i)
-		}
-	}
-	return w
+	return sigs
 }
 
 // Signature returns the stored signature of fault index fi.
@@ -144,13 +135,7 @@ func (d *Dictionary) Diagnose(observed Signature) []Fault {
 // set and returns its response signature — convenience for tests and the
 // diagnosis examples ("tester output" for a known defect).
 func (d *Dictionary) ObserveFault(f Fault) Signature {
-	good := make([]uint64, len(d.vectors))
-	sig := make(Signature, len(d.vectors))
-	for vi, v := range d.vectors {
-		good[vi] = d.outputWord(v, NoOverrideFault, false)
-		sig[vi] = good[vi] ^ d.outputWord(v, f, true)
-	}
-	return sig
+	return d.signatures([]Fault{f})[0]
 }
 
 // Diagnosability summarises how well the vector set distinguishes the

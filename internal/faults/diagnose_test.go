@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/iscas"
 	"repro/internal/logic"
 )
 
@@ -151,6 +152,60 @@ func TestEquivalentFaultsShareSignatureProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
+	}
+}
+
+// referenceSignatures is the per-vector dictionary: for each vector, one
+// good re-simulation and one faulty re-simulation per fault, with bit o
+// of a fault's entry set when output o miscompares.
+func referenceSignatures(c *logic.Circuit, vectors []Vector, fs []Fault) []Signature {
+	sigs := make([]Signature, len(fs))
+	for fi := range sigs {
+		sigs[fi] = make(Signature, len(vectors))
+	}
+	for vi, v := range vectors {
+		in := packWords(c, []Vector{v})
+		good := c.SimWords(in)
+		for fi, f := range fs {
+			bad := c.SimWordsFaulty(in, f.Override())
+			for o, id := range c.Outputs() {
+				sigs[fi][vi] |= ((good[id] ^ bad[id]) & 1) << uint(o)
+			}
+		}
+	}
+	return sigs
+}
+
+// TestDictionaryMatchesPerVectorReference checks the batched signatures
+// against the per-vector reference, on c432 under 70 seeded vectors (one
+// full batch, one partial) and on seeded random circuits under every
+// pattern.
+func TestDictionaryMatchesPerVectorReference(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	check := func(c *logic.Circuit, vectors []Vector, fs []Fault) {
+		t.Helper()
+		d, err := BuildDictionary(c, vectors, fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for fi, want := range referenceSignatures(c, vectors, fs) {
+			if d.Signature(fi).key() != want.key() || d.ObserveFault(fs[fi]).key() != want.key() {
+				t.Fatalf("%s: signature of %s differs from the per-vector reference", c.Name, fs[fi].Name(c))
+			}
+		}
+	}
+	c432 := iscas.MustBenchmark("c432")
+	vectors := make([]Vector, 70)
+	for k := range vectors {
+		vectors[k] = make(Vector, len(c432.Inputs()))
+		for i := range vectors[k] {
+			vectors[k][i] = r.Intn(2) == 1
+		}
+	}
+	check(c432, vectors, Collapse(c432))
+	for k := 0; k < 100; k++ {
+		c := oracleCircuit(r)
+		check(c, exhaustiveVectors(len(c.Inputs())), All(c))
 	}
 }
 

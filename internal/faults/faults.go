@@ -48,15 +48,15 @@ type line struct {
 }
 
 // lines enumerates every fault site of the circuit: one stem per signal,
-// plus one branch per consumer for signals with fanout greater than one.
+// plus one branch per consumer for every stem that has branches (see
+// logic.(*Circuit).HasBranches).
 func lines(c *logic.Circuit) []line {
 	var out []line
 	for id := 0; id < c.NumSignals(); id++ {
 		sid := logic.SigID(id)
 		out = append(out, line{sig: sid, consumer: -1})
-		s := c.Signal(sid)
-		if len(s.Fanout) > 1 {
-			for _, g := range s.Fanout {
+		if c.HasBranches(sid) {
+			for _, g := range c.Signal(sid).Fanout {
 				out = append(out, line{sig: sid, consumer: g})
 			}
 		}
@@ -101,8 +101,9 @@ func Stems(c *logic.Circuit) []Fault {
 //   - NOR:  any input line s-a-1 ≡ output s-a-0
 //   - NOT/BUF: input s-a-v ≡ output s-a-(v ⊕ inverted) for both v
 //
-// The "input line" of a gate is the fanout branch when the source signal
-// has more than one consumer, otherwise the stem.
+// The "input line" of a gate is the fanout branch when the source stem
+// has branches — more than one consumer, or a primary output that also
+// feeds the gate — otherwise the stem.
 func Collapse(c *logic.Circuit) []Fault {
 	universe := All(c)
 	index := make(map[Fault]int, len(universe))
@@ -132,7 +133,7 @@ func Collapse(c *logic.Circuit) []Fault {
 	}
 	// inputLine returns the fault site of fanin f as seen by gate g.
 	inputLine := func(f, g logic.SigID) line {
-		if len(c.Signal(f).Fanout) > 1 {
+		if c.HasBranches(f) {
 			return line{sig: f, consumer: g}
 		}
 		return line{sig: f, consumer: -1}

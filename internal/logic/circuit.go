@@ -22,13 +22,14 @@ type Signal struct {
 // before analysis. A frozen circuit is immutable and safe for concurrent
 // reads.
 type Circuit struct {
-	Name    string
-	signals []Signal
-	byName  map[string]SigID
-	inputs  []SigID
-	outputs []SigID
-	order   []SigID // topological order over gate signals
-	frozen  bool
+	Name     string
+	signals  []Signal
+	byName   map[string]SigID
+	inputs   []SigID
+	outputs  []SigID
+	observed []bool  // by signal: marked as a primary output
+	order    []SigID // topological order over gate signals
+	frozen   bool
 }
 
 // New returns an empty circuit.
@@ -102,6 +103,7 @@ func (c *Circuit) addSignal(name string, t GateType, fanin []SigID) SigID {
 	}
 	id := SigID(len(c.signals))
 	c.signals = append(c.signals, Signal{Name: name, Type: t, Fanin: fanin})
+	c.observed = append(c.observed, false)
 	c.byName[name] = id
 	if t == TypeInput {
 		c.inputs = append(c.inputs, id)
@@ -123,11 +125,10 @@ func (c *Circuit) MarkOutput(name string) {
 		//lint:allow nopanic builder API misuse: unknown signal name
 		panic(fmt.Sprintf("logic: cannot mark unknown signal %q as output", name))
 	}
-	for _, o := range c.outputs {
-		if o == id {
-			return
-		}
+	if c.observed[id] {
+		return
 	}
+	c.observed[id] = true
 	c.outputs = append(c.outputs, id)
 }
 
@@ -276,6 +277,20 @@ func (c *Circuit) SupportCone(roots []SigID) map[SigID]bool {
 	return cone
 }
 
+// IsOutput reports whether the signal is marked as a primary output.
+func (c *Circuit) IsOutput(id SigID) bool { return c.observed[id] }
+
+// HasBranches reports whether the signal's stem splits into fanout
+// branches, each a separate stuck-at line with one consumer gate: the
+// signal feeds more than one gate, or it is a primary output that also
+// feeds a gate — the observed output and the gate input are then two
+// destinations of one stem, and a fault on the gate's branch leaves the
+// output healthy.
+func (c *Circuit) HasBranches(id SigID) bool {
+	n := len(c.signals[id].Fanout)
+	return n > 1 || n == 1 && c.observed[id]
+}
+
 // InputNames returns the primary input names in declaration order.
 func (c *Circuit) InputNames() []string {
 	names := make([]string, len(c.inputs))
@@ -300,19 +315,19 @@ type Stats struct {
 	Outputs int
 	Gates   int
 	Depth   int
-	Lines   int // stems + fanout branches beyond the first
+	Lines   int // stems + fanout branches (see HasBranches)
 }
 
-// Stats computes summary statistics. Lines counts each signal once plus
-// one per fanout branch beyond the first, matching the classic stuck-at
-// line count.
+// Stats computes summary statistics. Lines counts each signal's stem
+// plus one line per fanout branch of every stem that has branches (see
+// HasBranches), matching the classic stuck-at line count.
 func (c *Circuit) Stats() Stats {
 	c.mustBeFrozen()
 	lines := 0
 	for i := range c.signals {
 		lines++
-		if n := len(c.signals[i].Fanout); n > 1 {
-			lines += n
+		if c.HasBranches(SigID(i)) {
+			lines += len(c.signals[i].Fanout)
 		}
 	}
 	return Stats{

@@ -90,8 +90,10 @@ func (t GateType) arityOK(n int) bool {
 	}
 }
 
-// evalWords computes the gate function over 64-pattern words.
-func (t GateType) evalWords(in []uint64) uint64 {
+// EvalWords computes the gate function over 64-pattern words, one word
+// per fanin in fanin order. It is the one definition of gate semantics
+// behind every simulator.
+func (t GateType) EvalWords(in []uint64) uint64 {
 	switch t {
 	case TypeConst0:
 		return 0

@@ -27,6 +27,25 @@ func fullAdder(t *testing.T) *Circuit {
 	return c
 }
 
+// detects reports whether the single pattern assign makes some primary
+// output of the faulty circuit differ from the good one.
+func detects(c *Circuit, assign map[string]bool, ov Override) bool {
+	in := make([]uint64, len(c.Inputs()))
+	for i, id := range c.Inputs() {
+		if assign[c.Signal(id).Name] {
+			in[i] = 1
+		}
+	}
+	good := c.OutputWords(c.SimWords(in))
+	bad := c.OutputWords(c.SimWordsFaulty(in, ov))
+	for i := range good {
+		if (good[i]^bad[i])&1 != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 func TestFullAdderTruthTable(t *testing.T) {
 	c := fullAdder(t)
 	for mask := 0; mask < 8; mask++ {
@@ -135,7 +154,7 @@ func TestStemFaultOverride(t *testing.T) {
 	if outs[0]&1 == 0 {
 		t.Error("sum should be 1 with axb stuck-at-1 and all-zero inputs")
 	}
-	if !c.Detects(map[string]bool{}, ov) {
+	if !detects(c, map[string]bool{}, ov) {
 		t.Error("all-zero vector must detect axb s-a-1")
 	}
 }
@@ -160,7 +179,7 @@ func TestBranchFaultOverride(t *testing.T) {
 	// cout flips, sum unaffected... sum = axb⊕cin uses the healthy stem.
 	ov2 := Override{Signal: axb, Consumer: candAxb, Value: true}
 	assign := map[string]bool{"cin": true}
-	if !c.Detects(assign, ov2) {
+	if !detects(c, assign, ov2) {
 		t.Error("cin=1 must detect the axb→c_axb branch s-a-1 at cout")
 	}
 }
@@ -170,12 +189,12 @@ func TestInputStemFault(t *testing.T) {
 	a := c.MustSig("a")
 	ov := Override{Signal: a, Consumer: -1, Value: true}
 	// a s-a-1 with all zero inputs: sum flips.
-	if !c.Detects(map[string]bool{}, ov) {
+	if !detects(c, map[string]bool{}, ov) {
 		t.Error("all-zero vector must detect a s-a-1")
 	}
 	// a s-a-0 with a=1, b=0, cin=0: sum flips from 1 to 0.
 	ov0 := Override{Signal: a, Consumer: -1, Value: false}
-	if !c.Detects(map[string]bool{"a": true}, ov0) {
+	if !detects(c, map[string]bool{"a": true}, ov0) {
 		t.Error("a=1 vector must detect a s-a-0")
 	}
 }
@@ -419,7 +438,7 @@ func TestParallelEqualsSerialProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }

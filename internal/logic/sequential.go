@@ -210,7 +210,7 @@ func (c *Circuit) SimWordsFaultyMulti(inWords []uint64, ovs []Override) []uint64
 			}
 			faninBuf = append(faninBuf, w)
 		}
-		v := s.Type.evalWords(faninBuf)
+		v := s.Type.EvalWords(faninBuf)
 		if stemSet[id] {
 			v = stem[id]
 		}

@@ -63,7 +63,7 @@ func (c *Circuit) SimWordsFaulty(inWords []uint64, ov Override) []uint64 {
 			}
 			faninBuf = append(faninBuf, w)
 		}
-		v := s.Type.evalWords(faninBuf)
+		v := s.Type.EvalWords(faninBuf)
 		if ov.active() && ov.Consumer < 0 && ov.Signal == id {
 			v = ov.word()
 		}
@@ -108,24 +108,4 @@ func (c *Circuit) EvalOutputs(assign map[string]bool) []bool {
 		out[i] = vals[c.signals[id].Name]
 	}
 	return out
-}
-
-// Detects reports whether the given single pattern (bit 0 of each input
-// word) distinguishes the faulty circuit from the good one at any primary
-// output.
-func (c *Circuit) Detects(assign map[string]bool, ov Override) bool {
-	in := make([]uint64, len(c.inputs))
-	for i, id := range c.inputs {
-		if assign[c.signals[id].Name] {
-			in[i] = 1
-		}
-	}
-	good := c.OutputWords(c.SimWords(in))
-	bad := c.OutputWords(c.SimWordsFaulty(in, ov))
-	for i := range good {
-		if (good[i]^bad[i])&1 != 0 {
-			return true
-		}
-	}
-	return false
 }
