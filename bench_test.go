@@ -4,12 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/adc"
-	"repro/internal/analog"
-	"repro/internal/atpg"
 	"repro/internal/circuits"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/faults"
 	"repro/internal/iscas"
 	"repro/internal/waveform"
 )
@@ -82,86 +79,11 @@ func BenchmarkExtensionDA(b *testing.B) { benchExperiment(b, "extda") }
 // vs random-phase vs checkpoint targeting vs compaction).
 func BenchmarkAblation(b *testing.B) { benchExperiment(b, "ablation") }
 
-// --- component-level ablation benches ------------------------------------
-// These time the individual engines the tables are built from, so the
-// cost split (OBDD construction vs vector extraction vs fault simulation
-// vs analog sweeps) is visible.
-
-// BenchmarkGoodOBDDsC1908 times building the good-circuit OBDDs of the
-// largest benchmark — the fixed cost the paper's method pays up front.
-func BenchmarkGoodOBDDsC1908(b *testing.B) {
-	c := iscas.MustBenchmark("c1908")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := atpg.New(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkVectorExtractionC880 times per-fault constrained test-function
-// construction plus SatOne, the paper's backtrack-free inner loop.
-func BenchmarkVectorExtractionC880(b *testing.B) {
-	c := iscas.MustBenchmark("c880")
-	g, err := atpg.New(c)
-	if err != nil {
-		b.Fatal(err)
-	}
-	flash := adc.NewFlash(experiments.ComparatorCount, 0, 16)
-	g.SetConstraint(flash.ConstraintBDD(g.Manager(), experiments.BoundInputs(c, "c880")))
-	fs := faults.Collapse(c)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := fs[i%len(fs)]
-		g.GenerateVector(f)
-	}
-}
-
-// BenchmarkFaultSimulationC1908 times bit-parallel fault simulation of a
-// 64-vector batch against the full collapsed fault list.
-func BenchmarkFaultSimulationC1908(b *testing.B) {
-	c := iscas.MustBenchmark("c1908")
-	sim := faults.NewSimulator(c)
-	fs := faults.Collapse(c)
-	var vectors []faults.Vector
-	for p := 0; p < 64; p++ {
-		v := make(faults.Vector, len(c.Inputs()))
-		for j := range v {
-			v[j] = (p+j)%3 == 0
-		}
-		vectors = append(vectors, v)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.Detect(vectors, fs)
-	}
-}
-
-// BenchmarkAnalogACSolve times one MNA AC solution of the Chebyshev
-// filter, the unit operation behind every analog measurement.
-func BenchmarkAnalogACSolve(b *testing.B) {
-	c := circuits.Chebyshev5()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.AC(10e3); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWorstCaseED times one worst-case element-deviation solve on
-// the band-pass (one cell of the Equation 1 matrix).
-func BenchmarkWorstCaseED(b *testing.B) {
-	c := circuits.BandPass2()
-	p := analog.MaxGain{Label: "A1", Out: circuits.BandPassOutput, Lo: 10, Hi: 100e3}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := analog.WorstCaseED(c, "Rd", p, circuits.BandPassElements,
-			analog.DefaultEDOptions()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// --- component-level bench ----------------------------------------------
+// perfbench (BENCHMARK.json) times the engines the tables are built
+// from: OBDD construction, vector extraction, fault simulation, the MNA
+// solve and the worst-case ED search. No perfbench metric times a single
+// composite-value propagation, so that one stays here.
 
 // BenchmarkDPropagationC1908 times one composite-value propagation (one
 // cell of the Table 5 census) through the largest digital block.

@@ -1,13 +1,11 @@
 // Command benchgen emits the generated benchmark netlists in ISCAS
-// ".bench" format, for inspection or for use with external tools, and
-// records instrumented ATPG benchmark results for perf tracking.
+// ".bench" format, for inspection or for use with external tools.
+// Performance is measured by perfbench; see BENCHMARK.json.
 //
 // Usage:
 //
 //	benchgen -name c432            # one netlist to stdout
 //	benchgen -all -dir ./netlists  # every benchmark into a directory
-//	benchgen -obs BENCH_obs.json   # timed ATPG per benchmark + obs snapshot stats
-//	benchgen -obs - -name c880     # one circuit's results to stdout
 package main
 
 import (
@@ -24,19 +22,8 @@ func main() {
 	name := flag.String("name", "", "benchmark to emit (c432, c499, c880, c1355, c1908, fig3, adder283)")
 	all := flag.Bool("all", false, "emit every benchmark")
 	dir := flag.String("dir", ".", "output directory when -all is used")
-	obsOut := flag.String("obs", "", "run instrumented ATPG and write bench results + obs stats (e.g. cache hit rate, peak nodes, vectors/sec) to this JSON file, or - for stdout")
-	commit := flag.String("commit", "", "commit SHA stamped into the -obs report (CI passes the build SHA)")
-	traceChrome := flag.String("trace-chrome", "", "with -obs: also write a Chrome trace of the ATPG runs, one tid lane per circuit/configuration, to this file")
-	workers := flag.Int("workers", 1, "with -obs: run each ATPG configuration on this many worker shards (1 = sequential); stamped into the report")
 	flag.Parse()
 
-	if *obsOut != "" {
-		if err := emitObs(*obsOut, *name, *commit, *traceChrome, *workers); err != nil {
-			fmt.Fprintf(os.Stderr, "benchgen: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *all {
 		if err := emitAll(*dir); err != nil {
 			fmt.Fprintf(os.Stderr, "benchgen: %v\n", err)

@@ -27,8 +27,7 @@
 //	                                 # in chrome://tracing or Perfetto
 //	msatpg -live localhost:6060    # live ops server: SSE /events, /varz,
 //	                               # /samples, /progressz, pprof with
-//	                               # phase=/fault= labels (-pprof is an
-//	                               # alias serving the same surface)
+//	                               # phase=/fault= labels
 //	msatpg -live :6060 -live-sample 500ms -live-linger 30s
 //
 // Exit status:
@@ -133,7 +132,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&opt.live, "live", "", "serve the live ops surface (SSE /events, /varz, /samples, /progressz, labeled pprof) on this address, e.g. localhost:6060")
 	fs.DurationVar(&opt.liveSample, "live-sample", live.DefaultSampleInterval, "live server: snapshot sampler interval for /samples")
 	fs.DurationVar(&opt.liveLinger, "live-linger", 0, "live server: keep serving this long after the run completes, so a late scraper still sees the final state")
-	pprofAddr := fs.String("pprof", "", "alias for -live (the profiling endpoints are part of the live ops surface)")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: msatpg [flags]\n\nExit status:\n")
 		fmt.Fprintf(stderr, "  0  every fault classified (tested, dropped or provably untestable)\n")
@@ -149,13 +147,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	if fs.NArg() != 0 {
 		fmt.Fprintf(stderr, "msatpg: unexpected arguments: %v\n", fs.Args())
 		fs.Usage()
-		return 2
-	}
-
-	if opt.live == "" {
-		opt.live = *pprofAddr
-	} else if *pprofAddr != "" && *pprofAddr != opt.live {
-		fmt.Fprintln(stderr, "msatpg: -pprof is an alias for -live; set one address, not two")
 		return 2
 	}
 

@@ -203,6 +203,53 @@ func TestWorkersMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestExportFlagsWriteFiles runs the default vehicle with every file
+// export flag at once and checks that each file has its format: the
+// snapshot and the Chrome trace are JSON documents, every span-log line
+// is a JSON record, and the text report carries its fault and engine
+// sections. obs.Default is process-global, so counts carry over from
+// other tests; only structure is asserted.
+func TestExportFlagsWriteFiles(t *testing.T) {
+	dir := t.TempDir()
+	stats := filepath.Join(dir, "stats.json")
+	spans := filepath.Join(dir, "spans.jsonl")
+	text := filepath.Join(dir, "report.txt")
+	chrome := filepath.Join(dir, "trace.json")
+	var out, errw bytes.Buffer
+	code := realMain([]string{"-stats", stats, "-trace-out", spans,
+		"-report-text", text, "-trace-chrome", chrome}, &out, &errw)
+	if code != 0 {
+		t.Fatalf("exit code = %d, want 0\nstderr:\n%s", code, errw.String())
+	}
+	read := func(path string) []byte {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, path := range []string{stats, chrome} {
+		var doc map[string]any
+		if err := json.Unmarshal(read(path), &doc); err != nil {
+			t.Errorf("%s does not parse as JSON: %v", filepath.Base(path), err)
+		}
+	}
+	lines := strings.Split(strings.TrimSpace(string(read(spans))), "\n")
+	for i, line := range lines {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Errorf("span log line %d does not parse as JSON: %v\n%s", i+1, err, line)
+		}
+	}
+	rep := string(read(text))
+	for _, want := range []string{"digital stuck-at faults:", "engine:"} {
+		if !strings.Contains(rep, want) {
+			t.Errorf("text report lacks %q:\n%s", want, rep)
+		}
+	}
+}
+
 func TestUsageErrorsExit2(t *testing.T) {
 	cases := [][]string{
 		{"-circuit", "nope"},
@@ -211,7 +258,6 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"-no-such-flag"},
 		{"positional"},
 		{"-live", "not-an-address"},
-		{"-live", "127.0.0.1:6060", "-pprof", "127.0.0.1:7070"},
 	}
 	for _, args := range cases {
 		var out, errw bytes.Buffer

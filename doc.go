@@ -26,10 +26,11 @@
 // per-interval deltas and rates at /samples, /healthz and /progressz
 // run progress, and pprof endpoints whose CPU samples carry phase=,
 // fault=, frame= and element= labels threaded through the run loop);
-// cmd/benchgen records them per benchmark with -obs in the versioned
-// internal/benchfmt schema; cmd/benchdiff compares two such snapshots
-// with regression thresholds and refuses cross-generation diffs; and
-// atpg.Result carries a per-run snapshot in its Stats field.
+// and atpg.Result carries a per-run snapshot in its Stats field.
+// Performance is measured by perfbench, a separate module in perfbench/
+// whose workloads and metric catalog BENCHMARK.json declares: the paper's
+// workloads end to end and each engine on its own, with every run's
+// outputs gated for correctness.
 //
 // Execution is hardened through internal/guard: every work item (fault,
 // analog element, time frame) runs inside a harness that converts
@@ -44,8 +45,8 @@
 // classified, 1 degraded, 2 usage error).
 //
 // The digital run loop scales out through atpg.RunParallel (msatpg
-// -workers, benchgen -workers): the collapsed fault list is partitioned
-// across worker shards, each owning its own Generator and BDD manager —
+// -workers): the collapsed fault list is partitioned across worker
+// shards, each owning its own Generator and BDD manager —
 // the unique/computed tables are not goroutine-safe, so the runtime
 // partitions state instead of locking it — and its own collector lane.
 // Discovered vectors cross the shard boundary in deterministic batches

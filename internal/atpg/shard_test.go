@@ -414,7 +414,8 @@ func TestCheckpointVectorWidthValidated(t *testing.T) {
 // worker on a multi-circuit workload. Timing assertions are
 // meaningless under -race or on starved CI runners, so the check is
 // opt-in: MSATPG_SPEEDUP=1 go test -run TestParallelSpeedup ./internal/atpg
-// (CI measures the same thing via the bench-obs speedup artifact.)
+// (perfbench's table4-sharded against table4-serial work_per_s measures
+// the same ratio at 2 workers.)
 func TestParallelSpeedup(t *testing.T) {
 	if os.Getenv("MSATPG_SPEEDUP") == "" {
 		t.Skip("set MSATPG_SPEEDUP=1 to run the wall-clock speedup gate")

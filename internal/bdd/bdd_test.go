@@ -239,55 +239,6 @@ func TestSatCount(t *testing.T) {
 	}
 }
 
-func TestAllSatEnumerates(t *testing.T) {
-	m := New()
-	a, b, c := m.Var("a"), m.Var("b"), m.Var("c")
-	f := m.Or(m.And(a, b), c)
-	var count int
-	m.AllSat(f, 3, 0, func(as Assignment) bool {
-		if !m.Eval(f, as) {
-			t.Errorf("enumerated non-satisfying assignment %v", as)
-		}
-		count++
-		return true
-	})
-	if count != 5 {
-		t.Errorf("AllSat visited %d assignments, want 5", count)
-	}
-	// Early stop.
-	count = 0
-	m.AllSat(f, 3, 0, func(Assignment) bool { count++; return count < 2 })
-	if count != 2 {
-		t.Errorf("early stop visited %d, want 2", count)
-	}
-}
-
-func TestMinterms(t *testing.T) {
-	m := New()
-	a, b := m.Var("a"), m.Var("b")
-	f := m.Xor(a, b)
-	got := m.Minterms(f, []string{"a", "b"})
-	if len(got) != 2 || got[0] != 0b01 || got[1] != 0b10 {
-		t.Errorf("minterms of a⊕b = %b, want [01 10]", got)
-	}
-	// Projection: f depends on b only; project onto a.
-	got = m.Minterms(b, []string{"a"})
-	if len(got) != 2 {
-		t.Errorf("projection lost assignments: %v", got)
-	}
-}
-
-func TestMintermsOfConstant(t *testing.T) {
-	m := New()
-	m.Var("a")
-	if got := m.Minterms(True, []string{"a"}); len(got) != 2 {
-		t.Errorf("minterms of 1 over {a} = %v, want both", got)
-	}
-	if got := m.Minterms(False, []string{"a"}); len(got) != 0 {
-		t.Errorf("minterms of 0 = %v, want none", got)
-	}
-}
-
 func TestAndNOrN(t *testing.T) {
 	m := New()
 	a, b, c := m.Var("a"), m.Var("b"), m.Var("c")

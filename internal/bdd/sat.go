@@ -1,22 +1,10 @@
 package bdd
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Assignment maps variable names to values. Variables not present are
 // don't-cares.
 type Assignment map[string]bool
-
-// Clone returns a copy of the assignment.
-func (a Assignment) Clone() Assignment {
-	out := make(Assignment, len(a))
-	for k, v := range a {
-		out[k] = v
-	}
-	return out
-}
 
 // SatOne returns one satisfying assignment of f (variables on the chosen
 // path only; everything else is a don't-care) and whether f is satisfiable
@@ -78,59 +66,6 @@ func (m *Manager) SatCount(f Ref, nVars int) float64 {
 	return paths(f, 0)
 }
 
-// AllSat enumerates complete satisfying assignments over the first nVars
-// variables (all when nVars < 0), invoking fn for each until fn returns
-// false or the limit is reached. It returns the number of assignments
-// visited. Intended for the small example circuits; the count can be
-// exponential.
-func (m *Manager) AllSat(f Ref, nVars, limit int, fn func(Assignment) bool) int {
-	if nVars < 0 {
-		nVars = len(m.vars)
-	}
-	visited := 0
-	assign := Assignment{}
-	var rec func(r Ref, level int) bool
-	rec = func(r Ref, level int) bool {
-		if visited >= limit && limit > 0 {
-			return false
-		}
-		if r == False {
-			return true
-		}
-		if level >= nVars {
-			visited++
-			return fn(assign.Clone())
-		}
-		name := m.vars[level]
-		nodeLvl := int32(nVars)
-		if !IsConst(r) {
-			nodeLvl = m.level(r)
-		}
-		if int32(level) < nodeLvl {
-			// Variable untested on this path: expand both values.
-			assign[name] = false
-			if !rec(r, level+1) {
-				return false
-			}
-			assign[name] = true
-			ok := rec(r, level+1)
-			delete(assign, name)
-			return ok
-		}
-		n := m.nodes[r]
-		assign[name] = false
-		if !rec(n.lo, level+1) {
-			return false
-		}
-		assign[name] = true
-		ok := rec(n.hi, level+1)
-		delete(assign, name)
-		return ok
-	}
-	rec(f, 0)
-	return visited
-}
-
 // SatOneConstrained returns a satisfying assignment of f that also fixes
 // don't-care variables among names to false, producing a fully specified
 // vector over names. Returns ok=false when f is unsatisfiable.
@@ -145,65 +80,4 @@ func (m *Manager) SatOneConstrained(f Ref, names []string) (Assignment, bool) {
 		}
 	}
 	return a, true
-}
-
-// Minterms returns the satisfying assignments of f projected onto the
-// given ordered variable names, encoded as bit vectors (names[0] is the
-// most significant bit). Variables of f outside names are projected away.
-// Used by tests and the Fig 3/Fig 6 demonstrations; the result can have up
-// to 2^len(names) entries, so keep names small.
-func (m *Manager) Minterms(f Ref, names []string) []uint64 {
-	bitOf := map[string]int{}
-	for i, n := range names {
-		bitOf[n] = len(names) - 1 - i
-	}
-	seen := map[uint64]bool{}
-	// Walk every path of f to True, collecting the literals over names,
-	// then expand the unspecified name-variables of each accepting cube.
-	var walk func(r Ref, set, mask uint64)
-	expand := func(set, mask uint64) {
-		free := []int{}
-		for _, n := range names {
-			b := bitOf[n]
-			if mask&(1<<uint(b)) == 0 {
-				free = append(free, b)
-			}
-		}
-		total := 1 << uint(len(free))
-		for k := 0; k < total; k++ {
-			v := set
-			for i, b := range free {
-				if k&(1<<uint(i)) != 0 {
-					v |= 1 << uint(b)
-				}
-			}
-			seen[v] = true
-		}
-	}
-	walk = func(r Ref, set, mask uint64) {
-		if r == False {
-			return
-		}
-		if r == True {
-			expand(set, mask)
-			return
-		}
-		n := m.nodes[r]
-		name := m.vars[n.level]
-		if b, ok := bitOf[name]; ok {
-			bit := uint64(1) << uint(b)
-			walk(n.lo, set, mask|bit)
-			walk(n.hi, set|bit, mask|bit)
-		} else {
-			walk(n.lo, set, mask)
-			walk(n.hi, set, mask)
-		}
-	}
-	walk(f, 0, 0)
-	out := make([]uint64, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

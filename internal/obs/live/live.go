@@ -7,7 +7,7 @@
 //	/events     SSE stream of the structured event log (one frame per
 //	            work item), resumable via Last-Event-ID, with in-band
 //	            drop notification when a client falls behind the ring
-//	/varz       the collector's full JSON snapshot (alias: /snapshot)
+//	/varz       the collector's full JSON snapshot
 //	/samples    the background sampler's ring of per-interval snapshot
 //	            deltas with per-second rates — rates without two scrapes
 //	/healthz    liveness: status, phase, uptime
@@ -17,7 +17,6 @@
 //	            fault=/frame=/element= labels threaded through the run
 //	            loop, so `go tool pprof -tags` attributes time to
 //	            individual faults and phases
-//	/debug/vars expvar, including the collector via obs.PublishExpvar
 //
 // The SSE write path is a chaos injection site (chaos.SiteLiveSSE), so
 // slow and failing streaming clients are exercised by the same
@@ -30,7 +29,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -94,8 +92,7 @@ func WithPollInterval(d time.Duration) Option {
 	}
 }
 
-// NewServer builds the ops surface over col. The collector is also
-// published to expvar under "obs" so /debug/vars carries the counters.
+// NewServer builds the ops surface over col.
 func NewServer(col *obs.Collector, opts ...Option) *Server {
 	cfg := config{
 		sampleInterval: DefaultSampleInterval,
@@ -113,12 +110,10 @@ func NewServer(col *obs.Collector, opts ...Option) *Server {
 		mux:     http.NewServeMux(),
 	}
 	s.phase.Store("startup")
-	obs.PublishExpvar("obs", col)
 
 	s.mux.HandleFunc("/", s.handleIndex)
 	s.mux.HandleFunc("/events", s.handleEvents)
 	s.mux.HandleFunc("/varz", s.handleVarz)
-	s.mux.HandleFunc("/snapshot", s.handleVarz)
 	s.mux.HandleFunc("/samples", s.handleSamples)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/progressz", s.handleProgressz)
@@ -127,7 +122,6 @@ func NewServer(col *obs.Collector, opts ...Option) *Server {
 	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	s.mux.Handle("/debug/vars", expvar.Handler())
 	return s
 }
 
@@ -196,12 +190,11 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "msatpg live ops — phase %s, up %v\n\n", s.Phase(), time.Since(s.start).Round(time.Millisecond))
 	fmt.Fprint(w, ""+
 		"/events     SSE event stream (resume with Last-Event-ID)\n"+
-		"/varz       full obs snapshot (alias /snapshot)\n"+
+		"/varz       full obs snapshot\n"+
 		"/samples    sampler ring: per-interval deltas + rates\n"+
 		"/healthz    liveness\n"+
 		"/progressz  run progress\n"+
-		"/debug/pprof/  profiles (CPU samples carry phase=/fault= labels)\n"+
-		"/debug/vars expvar\n")
+		"/debug/pprof/  profiles (CPU samples carry phase=/fault= labels)\n")
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

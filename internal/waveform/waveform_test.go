@@ -2,6 +2,7 @@ package waveform
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -148,7 +149,7 @@ func TestClassifyProjectionProperty(t *testing.T) {
 		c := Classify(g, fv, vr)
 		return c.GoodValue() == (g > vr) && c.FaultyValue() == (fv > vr)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }
@@ -167,7 +168,7 @@ func TestDutyMonotoneProperty(t *testing.T) {
 		db, err2 := DutyAbove(c, "out", s, vb)
 		return err1 == nil && err2 == nil && da >= db
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }
