@@ -58,6 +58,9 @@ func lookup(name string) (*logic.Circuit, error) {
 }
 
 func emitAll(dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
 	names := append([]string{"fig3", "adder283"}, iscas.BenchmarkNames...)
 	for _, n := range names {
 		c, err := lookup(n)

@@ -18,13 +18,10 @@
 //
 // Observability:
 //
-//	msatpg -stats -              # JSON obs snapshot on exit (to stdout)
-//	msatpg -stats run.json       # ... or to a file
-//	msatpg -trace-out spans.jsonl  # span log, one JSON record per line
-//	msatpg -report out.json        # structured run report (JSON)
-//	msatpg -report-text -          # ... same report, human-readable
-//	msatpg -trace-chrome trace.json  # Chrome trace_event export; load
-//	                                 # in chrome://tracing or Perfetto
+//	msatpg -report run.json        # the run record (JSON), - for stdout
+//	msatpg -report-text -          # ... the same record, human-readable
+//	msatpg -trace-chrome trace.json  # ... its spans and events as a Chrome
+//	                                 # trace (chrome://tracing, Perfetto)
 //	msatpg -live localhost:6060    # live ops server: SSE /events, /varz,
 //	                               # /samples, /progressz, pprof with
 //	                               # phase=/fault= labels
@@ -38,10 +35,12 @@
 //	2  usage or input error (bad flags, unknown circuit, unreadable
 //	   checkpoint file)
 //
-// The snapshot carries the whole pipeline's metrics (BDD cache hit
-// rates, peak nodes, per-fault ATPG latency histogram, analog solve
-// counts) and the per-phase spans of the analog → conversion → digital
-// flow; the metric inventory is documented in the README.
+// The run record (internal/report) carries the process snapshot — the
+// whole pipeline's metrics (BDD cache hit rates, peak nodes, per-fault
+// ATPG latency histogram, analog solve counts), the per-phase spans of
+// the analog → conversion → digital flow and the per-work-item events —
+// beside the sections distilled from it; the metric inventory is
+// documented in the README.
 package main
 
 import (
@@ -124,11 +123,9 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs.Int64Var(&opt.chaosSeed, "chaos-seed", 1, "seed for the chaos injector's site hashing")
 	fs.StringVar(&opt.chaosSites, "chaos-sites", "", "comma-separated injection sites (default: all sites)")
 	fs.StringVar(&opt.chaosAction, "chaos-action", "panic", "what a firing site does: panic | error | budget | timeout")
-	stats := fs.String("stats", "", "write the obs JSON snapshot on exit to this file, or - for stdout")
-	traceOut := fs.String("trace-out", "", "write the span log (JSON lines) on exit to this file, or - for stdout")
-	reportOut := fs.String("report", "", "write the structured run report as JSON to this file, or - for stdout")
-	reportText := fs.String("report-text", "", "write the run report in human-readable form to this file, or - for stdout")
-	traceChrome := fs.String("trace-chrome", "", "write a Chrome trace_event JSON file (chrome://tracing, Perfetto)")
+	reportOut := fs.String("report", "", "write the run record (report sections plus the obs snapshot) as JSON to this file, or - for stdout")
+	reportText := fs.String("report-text", "", "write the run record in human-readable form to this file, or - for stdout")
+	traceChrome := fs.String("trace-chrome", "", "write the run record's spans and events as a Chrome trace_event JSON file (chrome://tracing, Perfetto)")
 	fs.StringVar(&opt.live, "live", "", "serve the live ops surface (SSE /events, /varz, /samples, /progressz, labeled pprof) on this address, e.g. localhost:6060")
 	fs.DurationVar(&opt.liveSample, "live-sample", live.DefaultSampleInterval, "live server: snapshot sampler interval for /samples")
 	fs.DurationVar(&opt.liveLinger, "live-linger", 0, "live server: keep serving this long after the run completes, so a late scraper still sees the final state")
@@ -181,7 +178,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 
 	degraded, err := run(ctx, opt, stdout, lv)
-	if werr := writeObs(*stats, *traceOut, *reportOut, *reportText, *traceChrome); err == nil {
+	if werr := writeObs(*reportOut, *reportText, *traceChrome); err == nil {
 		err = werr
 	}
 	lv.SetPhase("done")
@@ -208,61 +205,47 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// writeObs dumps the process snapshot, span log, run report and/or
-// Chrome trace per the corresponding flags. It runs even when the flow
-// failed, so a crash still leaves the metrics behind.
-func writeObs(stats, traceOut, reportOut, reportText, traceChrome string) error {
-	if stats == "" && traceOut == "" && reportOut == "" && reportText == "" && traceChrome == "" {
+// writeObs builds the run record from one snapshot of the process
+// collector and writes it per the -report, -report-text and
+// -trace-chrome flags. It runs even when the flow failed, so a crash
+// still leaves the record behind.
+func writeObs(reportOut, reportText, traceChrome string) error {
+	if reportOut == "" && reportText == "" && traceChrome == "" {
 		return nil
 	}
-	snap := obs.Default.Snapshot()
-	write := func(flagName, path string, fn func(*os.File) error) error {
-		if path == "" {
-			return nil
+	rep := report.Build(obs.Default.Snapshot())
+	for _, out := range []struct {
+		flag, path string
+		render     func(io.Writer) error
+	}{
+		{"-report", reportOut, rep.WriteJSON},
+		{"-report-text", reportText, rep.WriteText},
+		{"-trace-chrome", traceChrome, rep.Snapshot.WriteChromeTrace},
+	} {
+		if out.path == "" {
+			continue
 		}
-		w, closeFn, err := outFile(path)
-		if err != nil {
-			return err
+		if err := writeOut(out.path, out.render); err != nil {
+			return fmt.Errorf("writing %s: %w", out.flag, err)
 		}
-		err = fn(w)
-		if cerr := closeFn(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("writing %s: %w", flagName, err)
-		}
-		return nil
-	}
-	if err := write("-stats", stats, func(w *os.File) error { return snap.WriteJSON(w) }); err != nil {
-		return err
-	}
-	if err := write("-trace-out", traceOut, func(w *os.File) error { return snap.WriteSpanLog(w) }); err != nil {
-		return err
-	}
-	if reportOut != "" || reportText != "" {
-		rep := report.Build(snap)
-		if err := write("-report", reportOut, func(w *os.File) error { return rep.WriteJSON(w) }); err != nil {
-			return err
-		}
-		if err := write("-report-text", reportText, func(w *os.File) error { return rep.WriteText(w) }); err != nil {
-			return err
-		}
-	}
-	if err := write("-trace-chrome", traceChrome, func(w *os.File) error { return snap.WriteChromeTrace(w) }); err != nil {
-		return err
 	}
 	return nil
 }
 
-func outFile(path string) (*os.File, func() error, error) {
+// writeOut renders to the named file, or to stdout for "-".
+func writeOut(path string, render func(io.Writer) error) error {
 	if path == "-" {
-		return os.Stdout, func() error { return nil }, nil
+		return render(os.Stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	return f, f.Close, nil
+	err = render(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // chaosInjector builds the injector from the -chaos-* flags, or nil

@@ -73,8 +73,8 @@ func TestChaosRunThenCheckpointResume(t *testing.T) {
 	if rep.Faults.AbortReasons["panic"] == 0 {
 		t.Errorf("report: abort_reasons = %v, want a \"panic\" bucket", rep.Faults.AbortReasons)
 	}
-	if rep.Metrics.Panics == 0 {
-		t.Errorf("report: recovered-panic counter is 0, want > 0")
+	if rep.Snapshot == nil || rep.Snapshot.Counters["guard.panics"] == 0 {
+		t.Errorf("report: snapshot's guard.panics counter is 0, want > 0")
 	}
 
 	// Run 2: no chaos, same checkpoint — completed faults restore,
@@ -204,20 +204,19 @@ func TestWorkersMatchesSequential(t *testing.T) {
 }
 
 // TestExportFlagsWriteFiles runs the default vehicle with every file
-// export flag at once and checks that each file has its format: the
-// snapshot and the Chrome trace are JSON documents, every span-log line
-// is a JSON record, and the text report carries its fault and engine
-// sections. obs.Default is process-global, so counts carry over from
-// other tests; only structure is asserted.
+// export flag at once and checks that each file renders the one run
+// record: the JSON record decodes as a report.Report whose snapshot
+// carries counters and spans, the Chrome trace is a JSON document, and
+// the text report carries its fault and engine sections. obs.Default is
+// process-global, so counts carry over from other tests; only structure
+// is asserted.
 func TestExportFlagsWriteFiles(t *testing.T) {
 	dir := t.TempDir()
-	stats := filepath.Join(dir, "stats.json")
-	spans := filepath.Join(dir, "spans.jsonl")
+	record := filepath.Join(dir, "report.json")
 	text := filepath.Join(dir, "report.txt")
 	chrome := filepath.Join(dir, "trace.json")
 	var out, errw bytes.Buffer
-	code := realMain([]string{"-stats", stats, "-trace-out", spans,
-		"-report-text", text, "-trace-chrome", chrome}, &out, &errw)
+	code := realMain([]string{"-report", record, "-report-text", text, "-trace-chrome", chrome}, &out, &errw)
 	if code != 0 {
 		t.Fatalf("exit code = %d, want 0\nstderr:\n%s", code, errw.String())
 	}
@@ -229,18 +228,20 @@ func TestExportFlagsWriteFiles(t *testing.T) {
 		}
 		return b
 	}
-	for _, path := range []string{stats, chrome} {
-		var doc map[string]any
-		if err := json.Unmarshal(read(path), &doc); err != nil {
-			t.Errorf("%s does not parse as JSON: %v", filepath.Base(path), err)
-		}
+	var rec report.Report
+	if err := json.Unmarshal(read(record), &rec); err != nil {
+		t.Fatalf("run record does not decode as a report: %v", err)
 	}
-	lines := strings.Split(strings.TrimSpace(string(read(spans))), "\n")
-	for i, line := range lines {
-		var rec map[string]any
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Errorf("span log line %d does not parse as JSON: %v\n%s", i+1, err, line)
-		}
+	if rec.Faults == nil || rec.Snapshot == nil {
+		t.Fatalf("run record lacks its faults section or snapshot: %+v", rec)
+	}
+	if rec.Snapshot.Counters["atpg.faults.total"] == 0 || len(rec.Snapshot.Spans) == 0 {
+		t.Errorf("run record's snapshot has no fault counters or spans: counters %v, %d spans",
+			rec.Snapshot.Counters, len(rec.Snapshot.Spans))
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(read(chrome), &doc); err != nil {
+		t.Errorf("Chrome trace does not parse as JSON: %v", err)
 	}
 	rep := string(read(text))
 	for _, want := range []string{"digital stuck-at faults:", "engine:"} {
@@ -258,6 +259,8 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"-no-such-flag"},
 		{"positional"},
 		{"-live", "not-an-address"},
+		{"-stats", "f"},
+		{"-trace-out", "f"},
 	}
 	for _, args := range cases {
 		var out, errw bytes.Buffer

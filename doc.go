@@ -18,15 +18,16 @@
 // contexts, with lane-major ids so sharded runs merge into one
 // deterministic trace via Collector.NewChild/Merge — a per-work-item
 // structured event log, and a runtime/metrics bridge, on the standard
-// library only): cmd/msatpg exposes the
-// metrics via -stats, -trace-out, -report/-report-text (structured run
-// reports built by internal/report), -trace-chrome (Chrome trace_event
-// export) and -live (internal/obs/live, the live ops surface: SSE event
-// streaming with Last-Event-ID resume, a snapshot sampler serving
-// per-interval deltas and rates at /samples, /healthz and /progressz
-// run progress, and pprof endpoints whose CPU samples carry phase=,
-// fault=, frame= and element= labels threaded through the run loop);
-// and atpg.Result carries a per-run snapshot in its Stats field.
+// library only): cmd/msatpg writes one run record per invocation
+// (internal/report: the process snapshot plus the report sections
+// distilled from it) as JSON (-report), as text (-report-text) and as a
+// Chrome trace_event file (-trace-chrome), and serves -live
+// (internal/obs/live, the live ops surface: SSE event streaming with
+// Last-Event-ID resume, a snapshot sampler serving per-interval deltas
+// and rates at /samples, /healthz and /progressz run progress, and
+// pprof endpoints whose CPU samples carry phase=, fault=, frame= and
+// element= labels threaded through the run loop). Library callers read
+// a run's metrics from the collector they pass (atpg.WithCollector).
 // Performance is measured by perfbench, a separate module in perfbench/
 // whose workloads and metric catalog BENCHMARK.json declares: the paper's
 // workloads end to end and each engine on its own, with every run's

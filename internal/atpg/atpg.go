@@ -52,7 +52,8 @@ func WithNodeLimit(n int) Option {
 
 // WithCollector directs this generator's instrumentation (BDD cache
 // counters, per-fault latencies, run spans) at the given collector
-// instead of obs.Default. Pass nil to disable instrumentation entirely.
+// instead of obs.Default. Pass nil to disable it; the fault simulator's
+// faults.sim.* counters stay on obs.Default either way.
 func WithCollector(col *obs.Collector) Option {
 	return func(c *config) { c.collector = col; c.collectorSet = true }
 }

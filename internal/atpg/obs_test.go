@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/faults"
@@ -80,10 +81,7 @@ func TestRunStatsSnapshot(t *testing.T) {
 	}
 	fs := faults.Collapse(c)
 	res := g.Run(fs)
-	if res.Stats == nil {
-		t.Fatal("Result.Stats is nil on an instrumented run")
-	}
-	s := res.Stats
+	s := col.Snapshot()
 	if s.Counters["bdd.ite.hit"] == 0 || s.Counters["bdd.ite.miss"] == 0 {
 		t.Errorf("ITE cache counters empty: hit=%d miss=%d",
 			s.Counters["bdd.ite.hit"], s.Counters["bdd.ite.miss"])
@@ -121,19 +119,43 @@ func TestRunStatsSnapshot(t *testing.T) {
 	}
 }
 
-// TestWithCollectorNilDisables verifies the no-op path: instrumentation
-// off must still produce a correct run, with no Stats attached.
+// TestWithCollectorNilDisables verifies the no-op path: a run with
+// instrumentation off records nothing on obs.Default — no counter
+// outside the fault simulator's faults.sim.*, no gauge, histogram, span
+// or event — and still classifies every fault.
 func TestWithCollectorNilDisables(t *testing.T) {
-	c := adder(t)
+	c := iscas.MustBenchmark("c432")
+	before := obs.Default.Snapshot()
 	g, err := New(c, WithCollector(nil))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	res := g.Run(faults.Collapse(c))
-	if res.Stats != nil {
-		t.Error("Stats should be nil with a nil collector")
+	res := g.Run(faults.Collapse(c), WithRandomPhase(64, 1))
+	after := obs.Default.Snapshot()
+	if res.RandomHits == 0 || res.Detected == 0 {
+		t.Fatalf("uninstrumented run did no work: %d detected, %d random hits", res.Detected, res.RandomHits)
 	}
-	if res.Detected != res.Total {
-		t.Errorf("uninstrumented run broke: %d/%d", res.Detected, res.Total)
+	if len(res.Aborted)+len(res.TimedOut) != 0 {
+		t.Errorf("uninstrumented run degraded: %d aborted, %d timed out", len(res.Aborted), len(res.TimedOut))
+	}
+	delta := after.Sub(before)
+	for name, d := range delta.Counters {
+		if !strings.HasPrefix(name, "faults.sim.") {
+			t.Errorf("counter %s moved by %d on obs.Default", name, d)
+		}
+	}
+	for name, v := range after.Gauges {
+		if before.Gauges[name] != v {
+			t.Errorf("gauge %s moved from %d to %d on obs.Default", name, before.Gauges[name], v)
+		}
+	}
+	for name, h := range delta.Histograms {
+		t.Errorf("histogram %s gained %d observations on obs.Default", name, h.Count)
+	}
+	if n := int64(len(delta.Spans)) + delta.SpansDropped; n != 0 {
+		t.Errorf("%d spans recorded on obs.Default", n)
+	}
+	if n := int64(len(delta.Events)) + delta.EventsDropped; n != 0 {
+		t.Errorf("%d events recorded on obs.Default", n)
 	}
 }

@@ -27,13 +27,6 @@ type Result struct {
 	RandomHits int // faults dropped by the optional random phase
 	Retries    int // extra attempts spent re-running aborted faults
 	Resumed    int // faults restored from a checkpoint, not recomputed
-
-	// Stats holds the run's slice of the generator's obs collector:
-	// BDD cache hit rates, the per-fault latency histogram, fault
-	// tallies and the run's spans. Nil when instrumentation is disabled
-	// (atpg.WithCollector(nil)). When several generators share one
-	// collector concurrently, the window also includes their activity.
-	Stats *obs.Snapshot
 }
 
 // Coverage returns detected / (total − untestable), the usual fault-

@@ -208,10 +208,6 @@ func RunParallel(c *logic.Circuit, fs []faults.Fault, opts ...RunOption) (*Resul
 // back at the end; a single shard records on root itself.
 func runShards(c *logic.Circuit, fs []faults.Fault, cfg runConfig, root *obs.Collector, workers int, own *Generator) *Result {
 	start := time.Now()
-	var snapBefore *obs.Snapshot
-	if root != nil {
-		snapBefore = root.Snapshot()
-	}
 	runCtx, cancelRun := cfg.limits.WithRunContext(cfg.ctx)
 	defer cancelRun()
 	// The run span goes into the context so phase and per-fault spans
@@ -658,9 +654,6 @@ func runShards(c *logic.Circuit, fs []faults.Fault, cfg runConfig, root *obs.Col
 	}
 	res.CPU = time.Since(start)
 	runSpan.End()
-	if root != nil {
-		res.Stats = root.Snapshot().Sub(snapBefore)
-	}
 	return res
 }
 

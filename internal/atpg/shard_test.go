@@ -184,7 +184,7 @@ func TestRunParallelShardChaosAbortsPending(t *testing.T) {
 		t.Errorf("detected=%d aborted=%d, want 0 / %d (all shards dead at init)",
 			res.Detected, len(res.Aborted), res.Total)
 	}
-	if got := res.Stats.Counters["atpg.shard.aborts"]; got != 4 {
+	if got := root.Snapshot().Counters["atpg.shard.aborts"]; got != 4 {
 		t.Errorf("atpg.shard.aborts = %d, want 4", got)
 	}
 }
@@ -278,7 +278,7 @@ func TestRunParallelCheckpointResumeRepartition(t *testing.T) {
 	}
 	// No fault computed twice: a restored fault may only appear in the
 	// resumed run's event stream with outcome=resumed.
-	for _, ev := range resumed.Stats.Events {
+	for _, ev := range root2.Snapshot().Events {
 		if ev.Kind != "fault" || !restored[ev.Name] {
 			continue
 		}
@@ -338,7 +338,8 @@ func TestRandomHitsCounterNotInflatedOnResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenCheckpoint: %v", err)
 	}
-	g, err := New(c, WithCollector(obs.NewCollector()))
+	col := obs.NewCollector()
+	g, err := New(c, WithCollector(col))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -346,7 +347,7 @@ func TestRandomHitsCounterNotInflatedOnResume(t *testing.T) {
 	if first.RandomHits == 0 {
 		t.Fatal("first run had no random hits; the regression needs some to restore")
 	}
-	if got := first.Stats.Counters["atpg.random.hits"]; got != int64(first.RandomHits) {
+	if got := col.Snapshot().Counters["atpg.random.hits"]; got != int64(first.RandomHits) {
 		t.Fatalf("first run counter = %d, want %d", got, first.RandomHits)
 	}
 
@@ -354,7 +355,8 @@ func TestRandomHitsCounterNotInflatedOnResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopening checkpoint: %v", err)
 	}
-	g2, err := New(c, WithCollector(obs.NewCollector()))
+	col2 := obs.NewCollector()
+	g2, err := New(c, WithCollector(col2))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -364,7 +366,7 @@ func TestRandomHitsCounterNotInflatedOnResume(t *testing.T) {
 	}
 	// Everything was restored, so the resumed run's own random phase hit
 	// nothing — the counter must stay at zero, not re-count the restores.
-	if got := resumed.Stats.Counters["atpg.random.hits"]; got != 0 {
+	if got := col2.Snapshot().Counters["atpg.random.hits"]; got != 0 {
 		t.Errorf("resumed run counted atpg.random.hits = %d, want 0 (hits were restored, not found)", got)
 	}
 }
@@ -388,7 +390,8 @@ func TestCheckpointVectorWidthValidated(t *testing.T) {
 		t.Fatalf("Put: %v", err)
 	}
 
-	g, err := New(c, WithCollector(obs.NewCollector()))
+	col := obs.NewCollector()
+	g, err := New(c, WithCollector(col))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -396,7 +399,7 @@ func TestCheckpointVectorWidthValidated(t *testing.T) {
 	if res.Resumed != 0 {
 		t.Errorf("resumed %d faults from a wrong-width record, want 0", res.Resumed)
 	}
-	if got := res.Stats.Counters["atpg.checkpoint.errors"]; got != 1 {
+	if got := col.Snapshot().Counters["atpg.checkpoint.errors"]; got != 1 {
 		t.Errorf("atpg.checkpoint.errors = %d, want 1", got)
 	}
 	nIn := len(c.Inputs())

@@ -176,20 +176,6 @@ func (c *Collector) EventSince(kind, name string, start time.Time, attrs ...Attr
 	})
 }
 
-// Events returns a copy of the retained event log, oldest first — i.e.
-// in append (sequence) order. The copy is a consistent point-in-time
-// snapshot taken under the ring lock: events appended after the call
-// began are not included, and the returned slice is never mutated by
-// later appends, so it is safe to read concurrently with an active run
-// (the SSE streamer in internal/obs/live does exactly that).
-func (c *Collector) Events() []Event {
-	if c == nil {
-		return nil
-	}
-	evs, _ := c.events.events()
-	return evs
-}
-
 // EventsSince returns the retained events with sequence number ≥ seq,
 // oldest first, plus the sequence number of the first returned event.
 // Sequence numbers count appends from 0 over the collector's lifetime,
@@ -212,13 +198,4 @@ func (c *Collector) EventSeq() int64 {
 		return 0
 	}
 	return c.events.seq()
-}
-
-// EventsDropped returns how many events were overwritten by ring overflow.
-func (c *Collector) EventsDropped() int64 {
-	if c == nil {
-		return 0
-	}
-	_, dropped := c.events.events()
-	return dropped
 }

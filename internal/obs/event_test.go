@@ -10,7 +10,7 @@ func TestEventBasics(t *testing.T) {
 	c := NewCollector()
 	c.Event("fault", "l3 s-a-0",
 		Str("outcome", "tested"), Int("product_nodes", 42), Float("ed", 0.101), Bool("ok", true))
-	evs := c.Events()
+	evs := c.Snapshot().Events
 	if len(evs) != 1 {
 		t.Fatalf("events = %d, want 1", len(evs))
 	}
@@ -35,7 +35,7 @@ func TestEventSinceCarriesDuration(t *testing.T) {
 	start := time.Now()
 	time.Sleep(time.Millisecond)
 	c.EventSince("element", "R1", start, Str("outcome", "testable"))
-	ev := c.Events()[0]
+	ev := c.Snapshot().Events[0]
 	if ev.DurNs <= 0 {
 		t.Errorf("DurNs = %d, want > 0", ev.DurNs)
 	}
@@ -46,7 +46,8 @@ func TestEventRingOverwritesOldest(t *testing.T) {
 	for i := int64(0); i < 10; i++ {
 		c.Event("k", "e", Int("i", i))
 	}
-	evs := c.Events()
+	s := c.Snapshot()
+	evs := s.Events
 	if len(evs) != 4 {
 		t.Fatalf("retained = %d, want 4", len(evs))
 	}
@@ -56,12 +57,8 @@ func TestEventRingOverwritesOldest(t *testing.T) {
 			t.Errorf("event %d = i:%s, want i:%s", j, got, want)
 		}
 	}
-	if got := c.EventsDropped(); got != 6 {
-		t.Errorf("dropped = %d, want 6", got)
-	}
-	s := c.Snapshot()
-	if len(s.Events) != 4 || s.EventsDropped != 6 {
-		t.Errorf("snapshot events = %d dropped = %d, want 4/6", len(s.Events), s.EventsDropped)
+	if s.EventsDropped != 6 {
+		t.Errorf("dropped = %d, want 6", s.EventsDropped)
 	}
 }
 
@@ -105,17 +102,14 @@ func TestEventNilCollector(t *testing.T) {
 	var c *Collector
 	c.Event("k", "n")
 	c.EventSince("k", "n", time.Now())
-	if evs := c.Events(); evs != nil {
-		t.Errorf("nil collector events = %v", evs)
+	if s := c.Snapshot(); s.Events != nil || s.EventsDropped != 0 {
+		t.Errorf("nil collector events = %v, dropped %d", s.Events, s.EventsDropped)
 	}
 	if evs, first := c.EventsSince(0); evs != nil || first != 0 {
 		t.Errorf("nil collector EventsSince = %v, %d", evs, first)
 	}
 	if seq := c.EventSeq(); seq != 0 {
 		t.Errorf("nil collector EventSeq = %d", seq)
-	}
-	if d := c.EventsDropped(); d != 0 {
-		t.Errorf("nil collector dropped = %d", d)
 	}
 }
 

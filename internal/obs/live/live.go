@@ -56,7 +56,6 @@ type Server struct {
 
 type config struct {
 	sampleInterval time.Duration
-	sampleCapacity int
 	poll           time.Duration
 }
 
@@ -68,16 +67,6 @@ func WithSampleInterval(d time.Duration) Option {
 	return func(c *config) {
 		if d > 0 {
 			c.sampleInterval = d
-		}
-	}
-}
-
-// WithSampleCapacity bounds the sample ring (default 300 ticks — five
-// minutes at the default interval).
-func WithSampleCapacity(n int) Option {
-	return func(c *config) {
-		if n > 0 {
-			c.sampleCapacity = n
 		}
 	}
 }
@@ -96,7 +85,6 @@ func WithPollInterval(d time.Duration) Option {
 func NewServer(col *obs.Collector, opts ...Option) *Server {
 	cfg := config{
 		sampleInterval: DefaultSampleInterval,
-		sampleCapacity: DefaultSampleCapacity,
 		poll:           DefaultPollInterval,
 	}
 	for _, o := range opts {
@@ -104,7 +92,7 @@ func NewServer(col *obs.Collector, opts ...Option) *Server {
 	}
 	s := &Server{
 		col:     col,
-		sampler: NewSampler(col, cfg.sampleInterval, cfg.sampleCapacity),
+		sampler: NewSampler(col, cfg.sampleInterval, DefaultSampleCapacity),
 		start:   time.Now(),
 		poll:    cfg.poll,
 		mux:     http.NewServeMux(),
@@ -304,7 +292,7 @@ func (s *Server) handleProgressz(w http.ResponseWriter, r *http.Request) {
 	p.Events.Seq = s.col.EventSeq()
 	p.Events.Dropped = c["live.sse.dropped"]
 	p.Events.Clients = s.clients.Load()
-	p.Critical = report.Critical(snap, report.DefaultTopBlocking)
+	p.Critical = report.Critical(snap)
 	p.Service = report.BuildService(snap)
 	writeJSON(w, p)
 }

@@ -71,7 +71,7 @@ func TestHealthzAndProgressz(t *testing.T) {
 func TestVarzAndSamples(t *testing.T) {
 	col := obs.NewCollector()
 	col.Counter("atpg.vectors").Add(7)
-	s := NewServer(col, WithSampleInterval(time.Minute), WithSampleCapacity(4))
+	s := NewServer(col, WithSampleInterval(time.Minute))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

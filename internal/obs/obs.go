@@ -33,7 +33,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -265,14 +264,4 @@ func (c *Collector) Histogram(name string) *Histogram {
 		c.histograms[name] = h
 	}
 	return h
-}
-
-// counterNames returns the sorted counter names (test/snapshot helper).
-func (c *Collector) counterNames() []string {
-	names := make([]string, 0, len(c.counters))
-	for n := range c.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

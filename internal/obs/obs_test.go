@@ -43,7 +43,6 @@ func TestNilCollectorIsNoop(t *testing.T) {
 	c.Histogram("h").Observe(5)
 	sp := c.StartSpan("s")
 	sp.End()
-	c.Time("t", func() {})
 	if got := c.Counter("a").Load(); got != 0 {
 		t.Errorf("nil collector counter = %d", got)
 	}
@@ -208,11 +207,12 @@ func TestSpanCap(t *testing.T) {
 	for i := 0; i < DefaultMaxSpans+10; i++ {
 		c.StartSpan("s").End()
 	}
-	if got := len(c.Spans()); got != DefaultMaxSpans {
+	s := c.Snapshot()
+	if got := len(s.Spans); got != DefaultMaxSpans {
 		t.Errorf("span log length = %d, want %d", got, DefaultMaxSpans)
 	}
-	if got := c.SpansDropped(); got != 10 {
-		t.Errorf("dropped = %d, want 10", got)
+	if s.SpansDropped != 10 {
+		t.Errorf("dropped = %d, want 10", s.SpansDropped)
 	}
 }
 
@@ -224,11 +224,7 @@ func TestSpanCapConfigurable(t *testing.T) {
 	if got := len(c.Spans()); got != 4 {
 		t.Errorf("span log length = %d, want 4", got)
 	}
-	if got := c.SpansDropped(); got != 6 {
-		t.Errorf("dropped = %d, want 6", got)
-	}
-	s := c.Snapshot()
-	if s.SpansDropped != 6 {
+	if s := c.Snapshot(); s.SpansDropped != 6 {
 		t.Errorf("snapshot SpansDropped = %d, want 6", s.SpansDropped)
 	}
 }

@@ -142,15 +142,3 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
 }
-
-// WriteSpanLog writes the span log as JSON lines (one SpanRecord per
-// line), the format consumed by trace viewers and ad-hoc awk.
-func (s *Snapshot) WriteSpanLog(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, sp := range s.Spans {
-		if err := enc.Encode(sp); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -137,19 +137,11 @@ func (s *Span) End() {
 	s.c.mu.Unlock()
 }
 
-// Time runs fn inside a span — convenience for instrumenting a whole
-// function body without restructuring it.
-func (c *Collector) Time(name string, fn func()) {
-	sp := c.StartSpan(name)
-	fn()
-	sp.End()
-}
-
 // Spans returns a copy of the completed span log, in completion (End)
 // order — not start order: a long phase span that encloses shorter child
 // spans appears after them. (After a Merge the log is re-sorted to
-// lane-major id order; see Merge.) Like Events, the copy is a consistent
-// point-in-time snapshot taken under the collector lock; spans ended
+// lane-major id order; see Merge.) The copy is a consistent point-in-time
+// snapshot taken under the collector lock; spans ended
 // after the call began are not included, and the returned slice is safe
 // to read concurrently with an active run.
 func (c *Collector) Spans() []SpanRecord {
@@ -161,14 +153,4 @@ func (c *Collector) Spans() []SpanRecord {
 	out := make([]SpanRecord, len(c.spans))
 	copy(out, c.spans)
 	return out
-}
-
-// SpansDropped returns how many spans overflowed the log cap.
-func (c *Collector) SpansDropped() int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.spansDrop
 }

@@ -6,8 +6,8 @@ import (
 	"repro/internal/obs"
 )
 
-// DefaultTopBlocking is how many top blocking spans a report keeps.
-const DefaultTopBlocking = 8
+// topBlocking is how many top blocking spans a report keeps.
+const topBlocking = 8
 
 // PathStep is one span on the critical path.
 type PathStep struct {
@@ -60,17 +60,11 @@ type CriticalSection struct {
 	Blocking []BlockingSpan `json:"blocking,omitempty"`
 }
 
-// Critical runs the causal analysis over a snapshot's span log on its
-// own, without building a full Report — the live /progressz endpoint
-// uses it to publish track utilization mid-run. Returns nil when there
-// are no spans to analyse.
-func Critical(s *obs.Snapshot, topN int) *CriticalSection {
-	return buildCritical(s, topN)
-}
-
-// buildCritical runs the causal analysis over the snapshot's span log.
+// Critical runs the causal analysis over a snapshot's span log. Build
+// calls it for the report's critical section, and the live /progressz
+// endpoint calls it on its own to publish track utilization mid-run.
 // Returns nil when there are no spans to analyse.
-func buildCritical(s *obs.Snapshot, topN int) *CriticalSection {
+func Critical(s *obs.Snapshot) *CriticalSection {
 	if len(s.Spans) == 0 {
 		return nil
 	}
@@ -142,8 +136,8 @@ func buildCritical(s *obs.Snapshot, topN int) *CriticalSection {
 			}
 			// Telescope the overlap away so a nested chain sums to the
 			// root's duration rather than counting shared time twice.
-			lo := max64(cur.StartNs, next.StartNs)
-			hi := min64(cur.StartNs+cur.DurNs, next.StartNs+next.DurNs)
+			lo := max(cur.StartNs, next.StartNs)
+			hi := min(cur.StartNs+cur.DurNs, next.StartNs+next.DurNs)
 			if hi > lo {
 				sec.PathNs -= hi - lo
 			}
@@ -225,25 +219,8 @@ func buildCritical(s *obs.Snapshot, topN int) *CriticalSection {
 		}
 		return blocking[i].Name < blocking[j].Name
 	})
-	if topN > len(blocking) {
-		topN = len(blocking)
-	}
-	sec.Blocking = blocking[:topN]
+	sec.Blocking = blocking[:min(topBlocking, len(blocking))]
 	return sec
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // intervalUnion returns the total length covered by the union of the

@@ -1,9 +1,12 @@
-// Package report renders an instrumented pipeline run — an obs.Snapshot
-// with its per-work-item event log — into a structured run report:
-// per-fault outcomes with an untestability-reason histogram, per-element
-// analog results, the comparator census, headline engine metrics and the
-// top-N slowest faults. The report serialises to JSON (for machines and
-// the CI artifact) and to human-readable text.
+// Package report builds the run record: one Report per instrumented
+// pipeline run, holding the obs.Snapshot it was built from (counters,
+// gauges, histograms, derived rates, spans and events) beside the
+// sections distilled from it — per-fault outcomes with an
+// untestability-reason histogram, per-element analog results, the
+// comparator census, the critical path and the top slowest faults. The
+// record serialises to JSON (for machines and the CI artifact) and
+// renders as human-readable text; its Snapshot renders as a Chrome
+// trace.
 //
 // The event conventions the builder understands are the ones the
 // pipeline emits (documented in the README "Observability" section):
@@ -26,8 +29,8 @@ import (
 	"repro/internal/obs"
 )
 
-// DefaultTopSlowest is how many of the slowest faults a report keeps.
-const DefaultTopSlowest = 10
+// topSlowest is how many of the slowest faults a report keeps.
+const topSlowest = 10
 
 // FaultRecord is one targeted fault distilled from its event.
 type FaultRecord struct {
@@ -94,89 +97,31 @@ type ComparatorSection struct {
 	BlockedHigh []int `json:"blocked_high,omitempty"`
 }
 
-// Headline carries the engine-level figures a reader checks first.
-type Headline struct {
-	ITEHitRate    float64 `json:"ite_hit_rate,omitempty"`
-	UniqueHitRate float64 `json:"unique_hit_rate,omitempty"`
-	PeakNodes     int64   `json:"peak_nodes,omitempty"`
-	NodesAlloc    int64   `json:"nodes_alloc,omitempty"`
-	MNASolves     int64   `json:"mna_solves,omitempty"`
-	Retries       int64   `json:"retries,omitempty"`      // guard.retries: extra attempts spent on aborts
-	Panics        int64   `json:"panics,omitempty"`       // guard.panics: recovered panics
-	BudgetTrips   int64   `json:"budget_trips,omitempty"` // bdd.budget.trips: node-budget aborts
-	SpansDropped  int64   `json:"spans_dropped,omitempty"`
-	EventsDropped int64   `json:"events_dropped,omitempty"`
-}
-
-// Report is the structured rendering of one run.
+// Report is the record of one run: the snapshot it was built from and
+// the sections distilled from that snapshot.
 type Report struct {
-	GeneratedAt time.Time          `json:"generated_at"`
 	Faults      *FaultSection      `json:"faults,omitempty"`
 	Elements    *ElementSection    `json:"elements,omitempty"`
 	Comparators *ComparatorSection `json:"comparators,omitempty"`
 	Critical    *CriticalSection   `json:"critical,omitempty"`
 	Service     *ServiceSection    `json:"service,omitempty"`
-	Metrics     Headline           `json:"metrics"`
+	Snapshot    *obs.Snapshot      `json:"snapshot"`
 }
 
-// Option configures Build.
-type Option func(*builder)
-
-type builder struct {
-	topN     int
-	blocking int
-}
-
-// WithTopSlowest sets how many slowest faults the report retains.
-func WithTopSlowest(n int) Option {
-	return func(b *builder) {
-		if n >= 0 {
-			b.topN = n
-		}
+// Build distils a snapshot into a Report that carries it. Sections whose
+// events are absent from the snapshot are omitted.
+func Build(s *obs.Snapshot) *Report {
+	return &Report{
+		Faults:      buildFaults(s),
+		Elements:    buildElements(s),
+		Comparators: buildComparators(s),
+		Critical:    Critical(s),
+		Service:     BuildService(s),
+		Snapshot:    s,
 	}
 }
 
-// WithTopBlocking sets how many top self-time spans the critical-path
-// section retains.
-func WithTopBlocking(n int) Option {
-	return func(b *builder) {
-		if n >= 0 {
-			b.blocking = n
-		}
-	}
-}
-
-// Build distils a snapshot into a Report. Sections whose events are
-// absent from the snapshot are omitted.
-func Build(s *obs.Snapshot, opts ...Option) *Report {
-	b := builder{topN: DefaultTopSlowest, blocking: DefaultTopBlocking}
-	for _, o := range opts {
-		o(&b)
-	}
-	r := &Report{
-		GeneratedAt: time.Now(),
-		Metrics: Headline{
-			ITEHitRate:    s.Derived["bdd.ite.hit_rate"],
-			UniqueHitRate: s.Derived["bdd.unique.hit_rate"],
-			PeakNodes:     s.Gauges["bdd.nodes.peak"],
-			NodesAlloc:    s.Counters["bdd.nodes.alloc"],
-			MNASolves:     s.Counters["mna.solves.dc"] + s.Counters["mna.solves.ac"],
-			Retries:       s.Counters["guard.retries"],
-			Panics:        s.Counters["guard.panics"],
-			BudgetTrips:   s.Counters["bdd.budget.trips"],
-			SpansDropped:  s.SpansDropped,
-			EventsDropped: s.EventsDropped,
-		},
-	}
-	r.Faults = buildFaults(s, b.topN)
-	r.Elements = buildElements(s)
-	r.Comparators = buildComparators(s)
-	r.Critical = buildCritical(s, b.blocking)
-	r.Service = BuildService(s)
-	return r
-}
-
-func buildFaults(s *obs.Snapshot, topN int) *FaultSection {
+func buildFaults(s *obs.Snapshot) *FaultSection {
 	var recs []FaultRecord
 	for _, ev := range s.Events {
 		if ev.Kind != "fault" {
@@ -250,12 +195,9 @@ func buildFaults(s *obs.Snapshot, topN int) *FaultSection {
 		sec.P99Ns = h.Quantile(0.99)
 	}
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].LatencyNs > recs[j].LatencyNs })
-	if topN > len(recs) {
-		topN = len(recs)
-	}
 	// Dropped faults were never targeted and carry no latency; keep only
 	// timed records in the slowest table.
-	for _, rec := range recs[:topN] {
+	for _, rec := range recs[:min(topSlowest, len(recs))] {
 		if rec.LatencyNs > 0 {
 			sec.Slowest = append(sec.Slowest, rec)
 		}
@@ -343,7 +285,8 @@ func (r *Report) WriteJSON(w io.Writer) error {
 // WriteText renders the report for humans.
 func (r *Report) WriteText(w io.Writer) error {
 	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
-	p("run report (%s)\n", r.GeneratedAt.Format(time.RFC3339))
+	snap := r.Snapshot
+	p("run report (%s)\n", snap.TakenAt.Format(time.RFC3339))
 	if f := r.Faults; f != nil {
 		p("\ndigital stuck-at faults: %d total — %d tested, %d dropped, %d random, %d untestable, %d aborted, %d timed-out (coverage %.1f%%)\n",
 			f.Total, f.Tested, f.Dropped, f.Random, f.Untestable, f.Aborted, f.TimedOut, 100*f.Coverage)
@@ -438,16 +381,17 @@ func (r *Report) WriteText(w io.Writer) error {
 				s.StoreErrors, s.StoreCorrupt, s.CheckpointCorrupt)
 		}
 	}
-	m := r.Metrics
+	c := snap.Counters
 	p("\nengine: ITE hit %.1f%%, unique hit %.1f%%, peak nodes %d, nodes alloc %d, MNA solves %d\n",
-		100*m.ITEHitRate, 100*m.UniqueHitRate, m.PeakNodes, m.NodesAlloc, m.MNASolves)
-	if m.Retries > 0 || m.Panics > 0 || m.BudgetTrips > 0 {
+		100*snap.Derived["bdd.ite.hit_rate"], 100*snap.Derived["bdd.unique.hit_rate"],
+		snap.Gauges["bdd.nodes.peak"], c["bdd.nodes.alloc"], c["mna.solves.dc"]+c["mna.solves.ac"])
+	if c["guard.retries"] > 0 || c["guard.panics"] > 0 || c["bdd.budget.trips"] > 0 {
 		p("robustness: %d retries, %d recovered panics, %d BDD budget trips\n",
-			m.Retries, m.Panics, m.BudgetTrips)
+			c["guard.retries"], c["guard.panics"], c["bdd.budget.trips"])
 	}
-	if m.SpansDropped > 0 || m.EventsDropped > 0 {
+	if snap.SpansDropped > 0 || snap.EventsDropped > 0 {
 		p("warning: trace truncated — %d spans and %d events dropped (raise the caps)\n",
-			m.SpansDropped, m.EventsDropped)
+			snap.SpansDropped, snap.EventsDropped)
 	}
 	return nil
 }

@@ -52,9 +52,9 @@ func sampleSnapshot() *obs.Snapshot {
 
 func buildFixed(t *testing.T) *Report {
 	t.Helper()
-	r := Build(sampleSnapshot())
-	r.GeneratedAt = time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
-	return r
+	s := sampleSnapshot()
+	s.TakenAt = time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	return Build(s)
 }
 
 func TestReportJSONGolden(t *testing.T) {
@@ -130,7 +130,7 @@ func TestReportSchema(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &raw); err != nil {
 		t.Fatalf("report is not valid JSON: %v", err)
 	}
-	for _, key := range []string{"generated_at", "faults", "elements", "comparators", "metrics"} {
+	for _, key := range []string{"faults", "elements", "comparators", "snapshot"} {
 		if _, ok := raw[key]; !ok {
 			t.Errorf("report JSON missing %q", key)
 		}
@@ -148,5 +148,27 @@ func TestEmptySnapshot(t *testing.T) {
 	r := Build(&obs.Snapshot{})
 	if r.Faults != nil || r.Elements != nil || r.Comparators != nil {
 		t.Errorf("empty snapshot grew sections: %+v", r)
+	}
+}
+
+// TestWriteTextReadsSnapshot checks that the text rendering takes its
+// robustness and truncation lines from the record's snapshot.
+func TestWriteTextReadsSnapshot(t *testing.T) {
+	s := &obs.Snapshot{
+		Counters:      map[string]int64{"guard.retries": 3, "guard.panics": 2, "bdd.budget.trips": 1},
+		SpansDropped:  4,
+		EventsDropped: 5,
+	}
+	var buf bytes.Buffer
+	if err := Build(s).WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"robustness: 3 retries, 2 recovered panics, 1 BDD budget trips",
+		"trace truncated — 4 spans and 5 events dropped",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("text report lacks %q:\n%s", want, buf.String())
+		}
 	}
 }

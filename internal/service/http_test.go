@@ -102,7 +102,8 @@ func TestHTTPJobAPI(t *testing.T) {
 		t.Fatalf("result body %s != canonical %s", body, want)
 	}
 
-	// The report covers the job's attempt.
+	// The report is the job attempt's run record: its sections agree
+	// with the snapshot it carries.
 	resp, err = http.Get(srv.URL + loc + "/report")
 	if err != nil {
 		t.Fatal(err)
@@ -111,6 +112,9 @@ func TestHTTPJobAPI(t *testing.T) {
 		Faults struct {
 			Total int64 `json:"total"`
 		} `json:"faults"`
+		Snapshot struct {
+			Counters map[string]int64 `json:"counters"`
+		} `json:"snapshot"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
 		t.Fatal(err)
@@ -119,9 +123,13 @@ func TestHTTPJobAPI(t *testing.T) {
 	if rep.Faults.Total == 0 {
 		t.Fatal("job report counts no faults")
 	}
+	if got := rep.Snapshot.Counters["atpg.faults.total"]; got != rep.Faults.Total {
+		t.Errorf("job report's snapshot counts atpg.faults.total = %d, its faults section %d", got, rep.Faults.Total)
+	}
 
 	// Unknown ids are 404s on every job endpoint.
-	for _, path := range []string{"/api/v1/jobs/job-999", "/api/v1/jobs/job-999/result", "/api/v1/jobs/job-999/events"} {
+	for _, path := range []string{"/api/v1/jobs/job-999", "/api/v1/jobs/job-999/result",
+		"/api/v1/jobs/job-999/events", "/api/v1/jobs/job-999/report"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)

@@ -84,8 +84,6 @@ type Config struct {
 	CheckpointEvery int
 	// Collector is the daemon's root collector (a fresh one when nil).
 	Collector *obs.Collector
-	// LiveOptions configure the embedded live ops surface.
-	LiveOptions []live.Option
 }
 
 func (c Config) withDefaults() Config {
@@ -174,7 +172,7 @@ func New(cfg Config) (*Daemon, error) {
 		cfg:   cfg,
 		col:   col,
 		store: store,
-		live:  live.NewServer(col, cfg.LiveOptions...),
+		live:  live.NewServer(col),
 		rt:    map[string]*jobRuntime{},
 		wake:  make(chan struct{}, 1),
 	}
