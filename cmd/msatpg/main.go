@@ -1,13 +1,18 @@
 // Command msatpg runs the full mixed-signal automatic test vector
-// generation flow on one of the built-in mixed circuits, printing the
-// analog element tests (stimulus, comparator, digital vector), the
-// conversion-block coverage and the constrained digital stuck-at run.
+// generation flow on one of the built-in mixed circuits: it compiles the
+// circuit's test program once, through core.CompileProgramParallel, and
+// renders it. The default rendering is a summary — the analog
+// element×bound tests (stimulus, comparator, digital vector with -v),
+// the conversion-block coverage and the constrained digital stuck-at
+// run; -program prints the whole program. Both renderings run under
+// the same limits, checkpoint and chaos flags, and exit alike.
 //
 // Usage:
 //
 //	msatpg                       # Figure 4 vehicle (band-pass + Fig 3)
 //	msatpg -circuit chebyshev -digital c880
 //	msatpg -circuit chebyshev -digital c1908 -v
+//	msatpg -program -workers 4   # the complete test program
 //
 // Robustness:
 //
@@ -30,8 +35,8 @@
 // Exit status:
 //
 //	0  every fault classified: tested, dropped or provably untestable
-//	1  degraded run — aborted or timed-out faults remain — or the flow
-//	   itself failed
+//	1  degraded run — aborted or timed-out analog element tests or
+//	   digital faults remain — or the flow itself failed
 //	2  usage or input error (bad flags, unknown circuit, unreadable
 //	   checkpoint file)
 //
@@ -51,20 +56,14 @@ import (
 	"io"
 	"net"
 	"os"
-	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/adc"
 	"repro/internal/analog"
-	"repro/internal/atpg"
-	"repro/internal/circuits"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/faults"
 	"repro/internal/guard"
 	"repro/internal/guard/chaos"
-	"repro/internal/iscas"
 	"repro/internal/obs"
 	"repro/internal/obs/live"
 	"repro/internal/report"
@@ -150,7 +149,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	// The base context carries the chaos injector, so both the run loop
 	// and the live server's SSE write site (via BaseContext) see it.
 	ctx := context.Background()
-	in, cerr := chaosInjector(opt)
+	in, cerr := chaos.FromFlags(opt.chaosProb, opt.chaosSeed, opt.chaosSites, opt.chaosAction)
 	if cerr != nil {
 		fmt.Fprintf(stderr, "msatpg: %v\n", cerr)
 		return 2
@@ -248,125 +247,29 @@ func writeOut(path string, render func(io.Writer) error) error {
 	return err
 }
 
-// chaosInjector builds the injector from the -chaos-* flags, or nil
-// when injection is off.
-func chaosInjector(opt options) (*chaos.Injector, error) {
-	if opt.chaosProb <= 0 {
-		return nil, nil
-	}
-	var action chaos.Action
-	switch opt.chaosAction {
-	case "panic":
-		action = chaos.Panic
-	case "error":
-		action = chaos.Error
-	case "budget":
-		action = chaos.Budget
-	case "timeout":
-		action = chaos.Timeout
-	default:
-		return nil, usageError{fmt.Errorf("unknown -chaos-action %q (want panic, error, budget or timeout)", opt.chaosAction)}
-	}
-	copts := []chaos.Option{chaos.WithAction(action)}
-	if opt.chaosSites != "" {
-		var sites []string
-		for _, s := range strings.Split(opt.chaosSites, ",") {
-			if s = strings.TrimSpace(s); s == "" {
-				continue
-			}
-			if !chaos.KnownSite(s) {
-				return nil, usageError{fmt.Errorf("unknown -chaos-sites entry %q (registered sites: %s)",
-					s, strings.Join(chaos.Sites(), ", "))}
-			}
-			sites = append(sites, s)
-		}
-		//lint:allow chaossite flag values are validated against chaos.KnownSite above
-		copts = append(copts, chaos.AtSites(sites...))
-	}
-	return chaos.New(opt.chaosSeed, opt.chaosProb, copts...), nil
-}
-
-// resolveVehicle validates the -circuit/-digital pair and fills in the
-// per-circuit default digital block.
-func resolveVehicle(circuit, digital string) (string, string, error) {
-	switch circuit {
-	case "bandpass":
-		if digital == "" {
-			digital = "fig3"
-		}
-		if digital != "fig3" {
-			return "", "", usageError{fmt.Errorf("the band-pass vehicle pairs with -digital fig3")}
-		}
-	case "chebyshev":
-		if digital == "" {
-			digital = "c880"
-		}
-		if _, err := iscas.Benchmark(digital); err != nil {
-			return "", "", usageError{err}
-		}
-	default:
-		return "", "", usageError{fmt.Errorf("unknown -circuit %q", circuit)}
-	}
-	return circuit, digital, nil
-}
-
-// buildVehicle constructs one independent copy of the resolved vehicle.
-// The parallel paths call it once per worker: a Mixed's BDD managers and
-// MNA solver state are not goroutine-safe, so workers own copies instead
-// of sharing one behind a lock. Construction is deterministic, so every
-// copy behaves identically.
-func buildVehicle(circuit, digital string) (*core.Mixed, []string, []analog.Parameter, error) {
-	switch circuit {
-	case "bandpass":
-		mx, err := core.NewMixed(circuits.BandPass2(), circuits.BandPassOutput,
-			adc.NewFlash(2, 0, 3), iscas.Fig3(), iscas.Fig3ConstrainedLines())
-		return mx, circuits.BandPassElements, circuits.BandPassParams(), err
-	case "chebyshev":
-		dig, err := iscas.Benchmark(digital)
-		if err != nil {
-			return nil, nil, nil, usageError{err}
-		}
-		mx, err := core.NewMixed(circuits.Chebyshev5(), circuits.ChebyshevOutput,
-			adc.NewFlash(experiments.ComparatorCount, 0, float64(experiments.ComparatorCount+1)),
-			dig, experiments.BoundInputs(dig, digital))
-		return mx, circuits.ChebyshevElements, circuits.ChebyshevParams(), err
-	}
-	return nil, nil, nil, usageError{fmt.Errorf("unknown -circuit %q", circuit)}
-}
-
-// run executes the three-phase flow. ctx is the process base context
-// (carrying the chaos injector, when one is configured); lv, when non-nil,
-// is the live ops server whose /healthz and /progressz report the phase.
+// run builds the vehicle for the header line, compiles its test program
+// once through core.CompileProgramParallel and renders it: the whole
+// program with -program, a summary otherwise. ctx is the process base
+// context (carrying the chaos injector, when one is configured); lv,
+// when non-nil, is the live ops server whose /healthz and /progressz
+// report the phase. degraded reports unclassified work of either kind.
 func run(ctx context.Context, opt options, stdout io.Writer, lv *live.Server) (degraded bool, err error) {
-	circuit, digital, err := resolveVehicle(opt.circuit, opt.digital)
-	if err != nil {
-		return false, err
-	}
 	if opt.workers < 1 {
 		return false, usageError{fmt.Errorf("-workers must be at least 1, got %d", opt.workers)}
 	}
-	mx, elements, params, err := buildVehicle(circuit, digital)
+	mx, elements, _, err := experiments.Vehicle(opt.circuit, opt.digital)
 	if err != nil {
-		return false, err
+		return false, usageError{err}
 	}
-
-	limits := guard.Limits{
-		PerItem:    opt.faultTimeout,
-		Run:        opt.runTimeout,
-		BDDNodes:   opt.bddBudget,
-		MaxRetries: opt.retries,
-	}
-	runCtx, cancelRun := limits.WithRunContext(ctx)
-	defer cancelRun()
-	// The root span of the whole invocation: every phase span below is
-	// created from runCtx, so the trace is one causal tree and the
+	// The root span of the whole invocation: the flow's phase spans
+	// start from its context, so the trace is one causal tree and the
 	// critical-path section of the report can walk run → phase → item.
-	runSpan, runCtx := obs.Default.StartSpanCtx(runCtx, "msatpg.run")
+	runSpan, runCtx := obs.Default.StartSpanCtx(ctx, "msatpg.run")
 	defer runSpan.End()
 
 	var ckpt *guard.Checkpoint
 	if opt.checkpoint != "" {
-		scope := fmt.Sprintf("msatpg:%s:%s", circuit, digital)
+		scope := fmt.Sprintf("msatpg:%s:%s", opt.circuit, mx.Digital.Name)
 		ckpt, err = guard.OpenCheckpoint(opt.checkpoint, scope)
 		if err != nil {
 			return false, usageError{fmt.Errorf("checkpoint: %w", err)}
@@ -377,234 +280,102 @@ func run(ctx context.Context, opt options, stdout io.Writer, lv *live.Server) (d
 		mx.Analog.Name(), mx.Conv.NumComparators(), mx.Digital.Name,
 		len(mx.Digital.Inputs()), len(mx.Binding), len(mx.FreeInputs()))
 
+	// Every worker builds its own vehicle: a Mixed's BDD managers and
+	// MNA solver state are not goroutine-safe.
+	factory := func() (*core.Mixed, *analog.Matrix, error) {
+		wmx, welems, wparams, err := experiments.Vehicle(opt.circuit, opt.digital)
+		if err != nil {
+			return nil, nil, err
+		}
+		matrix, err := analog.BuildMatrix(wmx.Analog, welems, wparams, analog.DefaultEDOptions())
+		if err != nil {
+			return nil, nil, err
+		}
+		return wmx, matrix, nil
+	}
+	limits := guard.Limits{
+		PerItem:    opt.faultTimeout,
+		Run:        opt.runTimeout,
+		BDDNodes:   opt.bddBudget,
+		MaxRetries: opt.retries,
+	}
+	lv.SetPhase("compile")
+	prog, err := core.CompileProgramParallel(runCtx, opt.workers, factory, elements, limits, ckpt)
+	if err != nil {
+		return false, err
+	}
 	if opt.program {
-		factory := func() (*core.Mixed, *analog.Matrix, error) {
-			fmx, felems, fparams, ferr := buildVehicle(circuit, digital)
-			if ferr != nil {
-				return nil, nil, ferr
-			}
-			matrix, merr := analog.BuildMatrix(fmx.Analog, felems, fparams, analog.DefaultEDOptions())
-			if merr != nil {
-				return nil, nil, merr
-			}
-			return fmx, matrix, nil
-		}
-		prog, err := core.CompileProgramParallel(runCtx, opt.workers, factory, elements)
-		if err != nil {
-			return false, err
-		}
-		return false, prog.Write(stdout)
+		return prog.Degraded(), prog.Write(stdout)
 	}
+	writeSummary(stdout, mx, prog, opt)
+	return prog.Degraded(), nil
+}
 
-	// Each phase runs in its own closure so the phase span ends by
-	// defer on every path, error returns included — the spanend
-	// contract the lint suite enforces.
-
-	// 1. Analog element tests through the digital block. Each element
-	// runs under the guard harness: a panic or injected failure in one
-	// element degrades the run instead of killing it.
-	var prop *core.Propagator
-	elemAborted, elemTimedOut := 0, 0
-	if err := func() error {
-		lv.SetPhase("analog")
-		span, phaseCtx := obs.Default.StartSpanCtx(runCtx, "phase.analog")
-		defer span.End()
-		fmt.Fprintln(stdout, "\n-- analog element tests (activation + D propagation) --")
-		matrix, err := analog.BuildMatrix(mx.Analog, elements, params, analog.DefaultEDOptions())
-		if err != nil {
-			return err
+// writeSummary prints the summary of a compiled program: the analog
+// element-test count, the conversion census with every ladder ED, and
+// the digital run's classification. With -v it also lists every element
+// test and the first vectors of the run.
+func writeSummary(w io.Writer, mx *core.Mixed, prog *core.TestProgram, opt options) {
+	fmt.Fprintln(w, "\n-- analog element tests (activation + D propagation) --")
+	if opt.verbose {
+		for _, t := range prog.AnalogTests {
+			fmt.Fprintf(w, "  %-4s %-5s ED=%-7s via %-5s %v → comparator %d → outputs %v, free inputs %v\n",
+				t.Element, t.Bound, fmtPct(t.Deviation), t.Param, t.Stimulus,
+				t.Comparator, t.Outputs, t.FreeInputs)
 		}
-		if prop, err = core.NewPropagator(mx); err != nil {
-			return err
+		for _, u := range prog.AnalogUntestable {
+			fmt.Fprintf(w, "  %-4s %-5s NOT TESTABLE (%s)\n", u.Element, u.Bound, u.Reason)
 		}
-
-		// One result slot per element, filled by a pool of -workers
-		// independent vehicle copies (the solver and BDD state inside a
-		// Mixed are not goroutine-safe; one worker uses the vehicle built
-		// above) and printed below in element order, so stdout is
-		// identical for every worker count.
-		type vehicle struct {
-			mx     *core.Mixed
-			matrix *analog.Matrix
-			prop   *core.Propagator
-		}
-		type elemResult struct {
-			verdict core.ElementTest
-			out     guard.Outcome
-		}
-		testElem := func(v *vehicle, i int) elemResult {
-			elem := elements[i]
-			var r elemResult
-			itemCtx, cancelItem := limits.WithItemContext(phaseCtx)
-			r.out = guard.Do(itemCtx, obs.Default, "element:"+elem, func(ctx context.Context) error {
-				verdict, terr := v.mx.TestAnalogElementCtx(ctx, v.prop, v.matrix, elem, core.UpperBound)
-				if terr != nil {
-					return terr
-				}
-				r.verdict = verdict
-				return nil
-			})
-			cancelItem()
-			return r
-		}
-		results := make([]elemResult, len(elements))
-		workers := max(min(opt.workers, len(elements)), 1)
-		vs := make([]*vehicle, workers)
-		vs[0] = &vehicle{mx: mx, matrix: matrix, prop: prop}
-		buildErrs := make([]error, workers)
-		var wg sync.WaitGroup
-		for w := 1; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				wmx, welems, wparams, werr := buildVehicle(circuit, digital)
-				if werr != nil {
-					buildErrs[w] = werr
-					return
-				}
-				wmatrix, werr := analog.BuildMatrix(wmx.Analog, welems, wparams, analog.DefaultEDOptions())
-				if werr != nil {
-					buildErrs[w] = werr
-					return
-				}
-				wprop, werr := core.NewPropagator(wmx)
-				if werr != nil {
-					buildErrs[w] = werr
-					return
-				}
-				vs[w] = &vehicle{mx: wmx, matrix: wmatrix, prop: wprop}
-			}(w)
-		}
-		wg.Wait()
-		for _, berr := range buildErrs {
-			if berr != nil {
-				return berr
-			}
-		}
-		jobs := make(chan int)
-		for _, v := range vs {
-			wg.Add(1)
-			go func(v *vehicle) {
-				defer wg.Done()
-				for i := range jobs {
-					results[i] = testElem(v, i)
-				}
-			}(v)
-		}
-		for i := range elements {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-
-		testable := 0
-		for i, elem := range elements {
-			r := results[i]
-			switch r.out.Class {
-			case guard.TimedOut:
-				elemTimedOut++
-				fmt.Fprintf(stdout, "  %-4s TIMED OUT (%s)\n", elem, r.out.Reason)
-				continue
-			case guard.Aborted, guard.Canceled:
-				elemAborted++
-				fmt.Fprintf(stdout, "  %-4s ABORTED (%s)\n", elem, r.out.Reason)
-				continue
-			}
-			if r.verdict.Testable {
-				testable++
-				if opt.verbose {
-					fmt.Fprintf(stdout, "  %-4s ED=%-7s via %-5s %v → comparator %d → outputs %v, free inputs %v\n",
-						elem, fmtPct(r.verdict.ED), r.verdict.Param, r.verdict.Act.Stim,
-						r.verdict.Act.Target, r.verdict.Prop.Outputs, r.verdict.Prop.Vector)
-				}
-			} else if opt.verbose {
-				fmt.Fprintf(stdout, "  %-4s NOT TESTABLE (%s)\n", elem, r.verdict.Reason)
-			}
-		}
-		fmt.Fprintf(stdout, "  %d/%d elements testable through the mixed circuit", testable, len(elements))
-		if elemAborted+elemTimedOut > 0 {
-			fmt.Fprintf(stdout, " (%d aborted, %d timed-out)", elemAborted, elemTimedOut)
-		}
-		fmt.Fprintln(stdout)
-		return nil
-	}(); err != nil {
-		return false, err
 	}
-
-	// 2. Conversion-block coverage.
-	if err := func() error {
-		lv.SetPhase("conversion")
-		span, _ := obs.Default.StartSpanCtx(runCtx, "phase.conversion")
-		defer span.End()
-		census, err := mx.CensusPropagation(prop)
-		if err != nil {
-			return err
+	aborted, timedOut := 0, 0
+	for _, a := range prog.AnalogAborted {
+		verdict := "ABORTED"
+		if a.Outcome.Class == guard.TimedOut {
+			verdict = "TIMED OUT"
+			timedOut++
+		} else {
+			aborted++
 		}
-		fmt.Fprintf(stdout, "\n-- conversion block: comparators blocked low=%v high=%v --\n",
-			census.BlockedLow, census.BlockedHigh)
-		eds := mx.ConversionCoverage(census, adc.DefaultEDOptions())
-		fmt.Fprint(stdout, "  ladder EDs: ")
-		for i, ed := range eds {
-			fmt.Fprintf(stdout, "R%d=%s ", i+1, fmtPct(ed))
-		}
-		fmt.Fprintln(stdout)
-		return nil
-	}(); err != nil {
-		return false, err
+		fmt.Fprintf(w, "  %-4s %-5s %s (%s)\n", a.Element, a.Bound, verdict, a.Outcome.Reason)
 	}
+	fmt.Fprintf(w, "  %d/%d element tests testable through the mixed circuit (both bounds",
+		len(prog.AnalogTests), len(prog.AnalogTests)+len(prog.AnalogUntestable)+len(prog.AnalogAborted))
+	if aborted+timedOut > 0 {
+		fmt.Fprintf(w, "; %d aborted, %d timed-out", aborted, timedOut)
+	}
+	fmt.Fprintln(w, ")")
 
-	// 3. Constrained digital stuck-at ATPG.
-	var res *atpg.Result
-	if err := func() error {
-		lv.SetPhase("digital")
-		span, phaseCtx := obs.Default.StartSpanCtx(runCtx, "phase.digital")
-		defer span.End()
-		fmt.Fprintln(stdout, "\n-- digital stuck-at ATPG under the conversion constraints --")
-		fs := faults.Collapse(mx.Digital)
-		runOpts := []atpg.RunOption{
-			atpg.WithContext(phaseCtx),
-			atpg.WithLimits(limits),
-			atpg.WithWorkers(opt.workers),
-			atpg.WithShardSetup(func(g *atpg.Generator) error {
-				g.SetConstraint(mx.Conv.ConstraintBDD(g.Manager(), mx.Binding))
-				return nil
-			}),
-		}
-		if ckpt != nil {
-			runOpts = append(runOpts, atpg.WithCheckpoint(ckpt))
-		}
-		res, err = atpg.RunParallel(mx.Digital, fs, runOpts...)
-		if err != nil {
-			return err
-		}
-		if opt.workers > 1 {
-			fmt.Fprintf(stdout, "  sharded across %d workers\n", opt.workers)
-		}
-		if res.Resumed > 0 {
-			fmt.Fprintf(stdout, "  resumed %d faults from checkpoint %s\n", res.Resumed, opt.checkpoint)
-		}
-		fmt.Fprintf(stdout, "  %d collapsed faults: %d detected, %d untestable, %d aborted, %d timed-out, %d vectors, %v, coverage %.1f%%\n",
-			res.Total, res.Detected, len(res.Untestable), len(res.Aborted), len(res.TimedOut),
-			len(res.Vectors), res.CPU.Round(1e6), 100*res.Coverage())
-		if res.Retries > 0 {
-			fmt.Fprintf(stdout, "  %d retries spent recovering aborted faults\n", res.Retries)
-		}
-		if opt.verbose {
-			for i, v := range res.Vectors {
-				if i >= 10 {
-					fmt.Fprintf(stdout, "  ... and %d more vectors\n", len(res.Vectors)-10)
-					break
-				}
-				fmt.Fprintf(stdout, "  vector %2d: %s\n", i+1, v)
+	fmt.Fprintf(w, "\n-- conversion block: comparators blocked low=%v high=%v --\n",
+		prog.Census.BlockedLow, prog.Census.BlockedHigh)
+	fmt.Fprint(w, "  ladder EDs: ")
+	for i, ed := range mx.ConversionCoverage(prog.Census, adc.DefaultEDOptions()) {
+		fmt.Fprintf(w, "R%d=%s ", i+1, fmtPct(ed))
+	}
+	fmt.Fprintln(w)
+
+	res := prog.Digital
+	fmt.Fprintln(w, "\n-- digital stuck-at ATPG under the conversion constraints --")
+	if opt.workers > 1 {
+		fmt.Fprintf(w, "  sharded across %d workers\n", opt.workers)
+	}
+	if res.Resumed > 0 {
+		fmt.Fprintf(w, "  resumed %d faults from checkpoint %s\n", res.Resumed, opt.checkpoint)
+	}
+	fmt.Fprintf(w, "  %d collapsed faults: %d detected, %d untestable, %d aborted, %d timed-out, %d vectors, %v, coverage %.1f%%\n",
+		res.Total, res.Detected, len(res.Untestable), len(res.Aborted), len(res.TimedOut),
+		len(res.Vectors), res.CPU.Round(1e6), 100*res.Coverage())
+	if res.Retries > 0 {
+		fmt.Fprintf(w, "  %d retries spent recovering aborted faults\n", res.Retries)
+	}
+	if opt.verbose {
+		for i, v := range res.Vectors {
+			if i >= 10 {
+				fmt.Fprintf(w, "  ... and %d more vectors\n", len(res.Vectors)-10)
+				break
 			}
+			fmt.Fprintf(w, "  vector %2d: %s\n", i+1, v)
 		}
-		return nil
-	}(); err != nil {
-		return false, err
 	}
-
-	degraded = len(res.Aborted)+len(res.TimedOut)+elemAborted+elemTimedOut > 0
-	return degraded, nil
 }
 
 func fmtPct(f float64) string {

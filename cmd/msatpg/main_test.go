@@ -239,6 +239,23 @@ func TestExportFlagsWriteFiles(t *testing.T) {
 		t.Errorf("run record's snapshot has no fault counters or spans: counters %v, %d spans",
 			rec.Snapshot.Counters, len(rec.Snapshot.Spans))
 	}
+	// The flow's phase spans start from the run's context, so each
+	// chains under an msatpg.run span.
+	runs := map[int64]bool{}
+	for _, sp := range rec.Snapshot.Spans {
+		if sp.Name == "msatpg.run" {
+			runs[sp.ID] = true
+		}
+	}
+	for _, phase := range []string{"phase.analog", "phase.conversion", "phase.digital"} {
+		chained := false
+		for _, sp := range rec.Snapshot.Spans {
+			chained = chained || (sp.Name == phase && runs[sp.ParentID])
+		}
+		if !chained {
+			t.Errorf("run record has no %s span under msatpg.run", phase)
+		}
+	}
 	var doc map[string]any
 	if err := json.Unmarshal(read(chrome), &doc); err != nil {
 		t.Errorf("Chrome trace does not parse as JSON: %v", err)
@@ -251,10 +268,48 @@ func TestExportFlagsWriteFiles(t *testing.T) {
 	}
 }
 
+// TestProgramHonoursRobustnessFlags drives -program through the same
+// guard harness as the summary: injected panics abort element tests
+// instead of killing the process, a starvation node budget degrades the
+// digital run, and a checkpoint is written and resumed into the same
+// program.
+func TestProgramHonoursRobustnessFlags(t *testing.T) {
+	var out, errw bytes.Buffer
+	if code := realMain([]string{"-program", "-chaos-prob", "0.3", "-chaos-seed", "7"}, &out, &errw); code != 1 {
+		t.Errorf("-program with chaos: exit %d, want 1\nstderr:\n%s", code, errw.String())
+	}
+	if !strings.Contains(out.String(), "ABORTED (panic)") {
+		t.Errorf("-program with chaos lists no aborted element test:\n%s", out.String())
+	}
+
+	out.Reset()
+	if code := realMain([]string{"-program", "-bdd-budget", "1"}, &out, &errw); code != 1 {
+		t.Errorf("-program -bdd-budget 1: exit %d, want 1\nstdout:\n%s", code, out.String())
+	}
+
+	ckpt := filepath.Join(t.TempDir(), "prog.ckpt")
+	stripTimes := regexp.MustCompile(`generated in [^)]+`)
+	var plans [2]string
+	for i := range plans {
+		out.Reset()
+		if code := realMain([]string{"-program", "-checkpoint", ckpt}, &out, &errw); code != 0 {
+			t.Fatalf("-program -checkpoint run %d: exit %d\nstderr:\n%s", i+1, code, errw.String())
+		}
+		if fi, err := os.Stat(ckpt); err != nil || fi.Size() == 0 {
+			t.Fatalf("-program -checkpoint run %d left no checkpoint: %v", i+1, err)
+		}
+		plans[i] = stripTimes.ReplaceAllString(out.String(), "generated in X")
+	}
+	if plans[0] != plans[1] {
+		t.Errorf("resumed program differs:\n--- first\n%s\n--- resumed\n%s", plans[0], plans[1])
+	}
+}
+
 func TestUsageErrorsExit2(t *testing.T) {
 	cases := [][]string{
 		{"-circuit", "nope"},
 		{"-circuit", "chebyshev", "-digital", "c9999"},
+		{"-digital", "c432"}, // the band-pass vehicle pairs with fig3 only
 		{"-chaos-prob", "0.5", "-chaos-action", "explode"},
 		{"-no-such-flag"},
 		{"positional"},

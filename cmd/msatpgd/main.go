@@ -48,7 +48,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -115,7 +114,7 @@ func realMain(args []string, stdout, stderr io.Writer, ready chan<- string) int 
 	}
 
 	ctx := context.Background()
-	in, err := chaosInjector(*chaosProb, *chaosSeed, *chaosSites, *chaosAction)
+	in, err := chaos.FromFlags(*chaosProb, *chaosSeed, *chaosSites, *chaosAction)
 	if err != nil {
 		fmt.Fprintf(stderr, "msatpgd: %v\n", err)
 		return 2
@@ -173,42 +172,4 @@ func realMain(args []string, stdout, stderr io.Writer, ready chan<- string) int 
 	}
 	fmt.Fprintln(stderr, "msatpgd: drained")
 	return 0
-}
-
-// chaosInjector builds the injector from the -chaos-* flags, or nil
-// when injection is off.
-func chaosInjector(prob float64, seed int64, sites, action string) (*chaos.Injector, error) {
-	if prob <= 0 {
-		return nil, nil
-	}
-	var a chaos.Action
-	switch action {
-	case "panic":
-		a = chaos.Panic
-	case "error":
-		a = chaos.Error
-	case "budget":
-		a = chaos.Budget
-	case "timeout":
-		a = chaos.Timeout
-	default:
-		return nil, fmt.Errorf("unknown -chaos-action %q (want panic, error, budget or timeout)", action)
-	}
-	copts := []chaos.Option{chaos.WithAction(a)}
-	if sites != "" {
-		var list []string
-		for _, s := range strings.Split(sites, ",") {
-			if s = strings.TrimSpace(s); s == "" {
-				continue
-			}
-			if !chaos.KnownSite(s) {
-				return nil, fmt.Errorf("unknown -chaos-sites entry %q (registered sites: %s)",
-					s, strings.Join(chaos.Sites(), ", "))
-			}
-			list = append(list, s)
-		}
-		//lint:allow chaossite flag values are validated against chaos.KnownSite above
-		copts = append(copts, chaos.AtSites(list...))
-	}
-	return chaos.New(seed, prob, copts...), nil
 }

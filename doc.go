@@ -60,9 +60,12 @@
 // shard-tagged checkpoint records re-partition on resume under any
 // -workers value. There is one engine: (*Generator).Run and one worker
 // are the one-shard case of the same coordinator, recording straight to
-// the caller's collector. core.CompileProgramParallel applies the same
-// pool to the analog element×bound tests with one vehicle copy per
-// worker, and core.CompileProgramCtx is its one-vehicle call.
+// the caller's collector. core.CompileProgramParallel, the one
+// implementation of the paper's flow, applies the same pool to the
+// analog element×bound tests with one vehicle copy per worker, each test
+// under the guard harness, and runs the digital phase on this runtime
+// under the same limits and checkpoint; core.CompileProgram is its
+// one-vehicle call, and msatpg's summary and -program render its result.
 //
 // The project's cross-cutting contracts (contexts thread through Ctx
 // variants, spans end on all paths, mna construction errors are

@@ -51,9 +51,9 @@ func WithNodeLimit(n int) Option {
 }
 
 // WithCollector directs this generator's instrumentation (BDD cache
-// counters, per-fault latencies, run spans) at the given collector
-// instead of obs.Default. Pass nil to disable it; the fault simulator's
-// faults.sim.* counters stay on obs.Default either way.
+// counters, per-fault latencies, run spans, and the faults.sim.*
+// counters of the fault simulators its runs and Compact use) at the
+// given collector instead of obs.Default. Pass nil to disable it.
 func WithCollector(col *obs.Collector) Option {
 	return func(c *config) { c.collector = col; c.collectorSet = true }
 }
@@ -118,10 +118,6 @@ func New(c *logic.Circuit, opts ...Option) (*Generator, error) {
 // Manager exposes the underlying BDD manager so callers can build
 // constraint functions over the input variables.
 func (g *Generator) Manager() *bdd.Manager { return g.m }
-
-// Collector returns the obs collector this generator reports to
-// (obs.Default unless overridden with WithCollector; possibly nil).
-func (g *Generator) Collector() *obs.Collector { return g.col }
 
 // Circuit returns the circuit under test.
 func (g *Generator) Circuit() *logic.Circuit { return g.c }

@@ -23,7 +23,9 @@ func (g *Generator) Compact(vectors []faults.Vector, fs []faults.Fault) []faults
 		rev[len(vectors)-1-i] = v
 	}
 	keep := make([]bool, len(vectors))
-	for _, d := range faults.NewSimulator(g.c).Detect(rev, fs) {
+	sim := faults.NewSimulator(g.c)
+	sim.Instrument(g.col)
+	for _, d := range sim.Detect(rev, fs) {
 		if d >= 0 {
 			keep[len(vectors)-1-d] = true
 		}

@@ -179,13 +179,7 @@ var (
 // individual faults.
 func (g *Generator) solveFault(ctx context.Context, limits guard.Limits, kind solveKind, name string, sites []faults.Fault) faultAttempt {
 	att := faultAttempt{start: time.Now()}
-	policy := guard.RetryPolicy{
-		MaxRetries: limits.MaxRetries,
-		// Exponential backoff with deterministic jitter, keyed by the
-		// fault name: concurrent shards retrying different faults spread
-		// out instead of re-colliding on the same boundary.
-		BackoffPolicy: guard.Backoff{Base: limits.RetryBackoff, Jitter: 0.5},
-	}
+	policy := guard.RetryPolicy{MaxRetries: limits.MaxRetries}
 	faultSpan, faultCtx := g.col.StartSpanCtx(ctx, kind.span)
 	itemCtx, cancelItem := limits.WithItemContext(faultCtx)
 	pprof.Do(itemCtx, pprof.Labels("phase", kind.phase, "fault", name), func(itemCtx context.Context) {

@@ -305,6 +305,7 @@ func runShards(c *logic.Circuit, fs []faults.Fault, cfg runConfig, root *obs.Col
 					sh.gen = g
 				}
 				sh.sim = faults.NewSimulator(c)
+				sh.sim.Instrument(sh.col)
 				return nil
 			})
 			if out.Class != guard.OK {
@@ -332,6 +333,7 @@ func runShards(c *logic.Circuit, fs []faults.Fault, cfg runConfig, root *obs.Col
 	// Faults in targets get their own "tested" event from the caller and
 	// are only marked here. Returns per-vector hit counts.
 	coordSim := faults.NewSimulator(c)
+	coordSim.Instrument(root)
 	applyBatch := func(batch []broadcast, targets map[int]bool, markRandom bool) []int {
 		hits := make([]int, len(batch))
 		if len(batch) == 0 {

@@ -62,7 +62,7 @@ func (mx *Mixed) TestAnalogElementCtx(ctx context.Context, p *Propagator, matrix
 }
 
 func (mx *Mixed) testAnalogElement(ctx context.Context, p *Propagator, matrix *analog.Matrix, elem string, bound Bound) (ElementTest, error) {
-	// The element span joins the caller's causal tree (the msatpg analog
+	// The element span joins the caller's causal tree (the flow's analog
 	// phase) and is itself the parent of whatever instrumented callees
 	// pick up from ctx.
 	span, ctx := obs.Default.StartSpanCtx(ctx, "core.element_test")
@@ -120,12 +120,14 @@ func (mx *Mixed) testAnalogElement(ctx context.Context, p *Propagator, matrix *a
 }
 
 // emitElementEvent records one "element" event: the per-work-item record
-// of the analog flow (ED bound, covering parameter, Table 1 activation
-// stimulus, toggling comparator) consumed by the run report.
+// of the analog flow (tolerance bound, ED, covering parameter, Table 1
+// activation stimulus, toggling comparator) consumed by the run report.
 func emitElementEvent(start time.Time, res ElementTest) {
+	bound := obs.Str("bound", res.Bound.String())
 	if res.Testable {
 		obs.Default.EventSince("element", res.Element, start,
 			obs.Str("outcome", "testable"),
+			bound,
 			obs.Float("ed", res.ED),
 			obs.Str("param", res.Param),
 			obs.Str("stim", res.Act.Stim.String()),
@@ -135,6 +137,7 @@ func emitElementEvent(start time.Time, res ElementTest) {
 	}
 	obs.Default.EventSince("element", res.Element, start,
 		obs.Str("outcome", "untestable"),
+		bound,
 		obs.Str("reason", res.Reason))
 }
 

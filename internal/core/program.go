@@ -13,6 +13,8 @@ import (
 	"repro/internal/analog"
 	"repro/internal/atpg"
 	"repro/internal/faults"
+	"repro/internal/guard"
+	"repro/internal/obs"
 	"repro/internal/waveform"
 )
 
@@ -29,7 +31,14 @@ type TestProgram struct {
 	// AnalogUntestable lists elements with no activating/propagating
 	// stimulus, with the blocking reason.
 	AnalogUntestable []UntestableElement
+	// AnalogAborted lists the element tests that did not complete — a
+	// panic, budget trip, error, cancel or deadline — with their guard
+	// outcome. They are neither tests nor untestable elements.
+	AnalogAborted []AbortedElement
 
+	// Census is the conversion block's propagation census, which
+	// restricts the conversion tests to the propagatable comparators.
+	Census *PropagationCensus
 	// ConversionTests cover the converter's ladder resistors.
 	ConversionTests []ConversionTest
 
@@ -40,6 +49,10 @@ type TestProgram struct {
 	DigitalUntestable []string
 	DigitalFaults     int
 	DigitalCoverage   float64
+	// Digital is the constrained ATPG run before compaction: its
+	// detected, aborted, timed-out, resumed and retry counts, its CPU
+	// time and its uncompacted vectors.
+	Digital *atpg.Result
 
 	GeneratedIn time.Duration
 }
@@ -64,6 +77,13 @@ type UntestableElement struct {
 	Reason  string
 }
 
+// AbortedElement records an element test that did not complete.
+type AbortedElement struct {
+	Element string
+	Bound   Bound
+	Outcome guard.Outcome
+}
+
 // ConversionTest is one ladder-resistor test.
 type ConversionTest struct {
 	Element    string  // "R3"
@@ -76,19 +96,12 @@ type ConversionTest struct {
 // coverage restricted to the propagatable comparators, and constrained
 // digital ATPG (with static compaction of the vector set). The matrix
 // must come from analog.BuildMatrix over the analog block's elements.
-func CompileProgram(mx *Mixed, matrix *analog.Matrix, elements []string, opts ...atpg.Option) (*TestProgram, error) {
-	return CompileProgramCtx(context.Background(), mx, matrix, elements, opts...)
-}
-
-// CompileProgramCtx is CompileProgram with cancellation: the context is
-// threaded through every analog element test and the constrained
-// digital ATPG run, so a deadline or cancel aborts the compilation at
-// the next element or fault boundary instead of grinding through the
-// whole flow. It is CompileProgramParallel with one worker on mx.
-func CompileProgramCtx(ctx context.Context, mx *Mixed, matrix *analog.Matrix, elements []string, opts ...atpg.Option) (*TestProgram, error) {
-	return CompileProgramParallel(ctx, 1, func() (*Mixed, *analog.Matrix, error) {
+// It is CompileProgramParallel with one worker on mx, no limits and no
+// checkpoint.
+func CompileProgram(mx *Mixed, matrix *analog.Matrix, elements []string) (*TestProgram, error) {
+	return CompileProgramParallel(context.Background(), 1, func() (*Mixed, *analog.Matrix, error) {
 		return mx, matrix, nil
-	}, elements, opts...)
+	}, elements, guard.Limits{}, nil)
 }
 
 // MixedFactory builds one independent copy of the mixed-circuit vehicle:
@@ -100,59 +113,67 @@ func CompileProgramCtx(ctx context.Context, mx *Mixed, matrix *analog.Matrix, el
 // verdict is the same no matter which worker computes it.
 type MixedFactory func() (*Mixed, *analog.Matrix, error)
 
-// CompileProgramParallel is the flow of CompileProgram on a worker
-// pool: the element×bound analog tests fan out over workers independent
-// vehicle copies, and the constrained digital ATPG runs on
-// atpg.RunParallel with the conversion constraint rebuilt on every
-// shard's own manager. Results are committed in element×bound order
-// whatever the worker count, so the analog and conversion sections —
-// and the digital coverage and untestable classification — are identical
-// for every worker count; only the exact digital vector set may differ
-// (shards target faults concurrently that one shard would have dropped
-// first), and it always detects the same fault set. workers < 2 runs one
-// vehicle and one ATPG shard: CompileProgramCtx is that case.
-func CompileProgramParallel(ctx context.Context, workers int, factory MixedFactory, elements []string, opts ...atpg.Option) (*TestProgram, error) {
+// vehicle is one worker's copy of the mixed circuit.
+type vehicle struct {
+	mx     *Mixed
+	matrix *analog.Matrix
+	prop   *Propagator
+}
+
+// CompileProgramParallel is the flow of the paper on a worker pool, and
+// the one implementation of it. The run deadline of limits bounds the
+// whole flow, which runs in three phases, each under its own span
+// started from ctx (phase.analog, phase.conversion, phase.digital):
+//
+//  1. The element×bound analog tests fan out over independent vehicle
+//     copies, one per worker. Each test runs under the guard harness
+//     with the per-item deadline of limits, so a panic, budget trip,
+//     error or deadline in one test lands in AnalogAborted instead of
+//     failing the flow.
+//  2. The conversion census and ladder tests run on the first vehicle.
+//  3. The constrained digital ATPG runs on atpg.RunParallel under
+//     limits and ckpt (nil means no checkpoint), with the conversion
+//     constraint rebuilt on every shard's own manager, and its vectors
+//     are compacted.
+//
+// Results are committed in element×bound order whatever the worker
+// count, so the analog and conversion sections — and the digital
+// coverage and untestable classification — are identical for every
+// worker count; only the exact digital vector set may differ (shards
+// target faults concurrently that one shard would have dropped first),
+// and it always detects the same fault set. An error means a vehicle
+// could not be built; degraded work is reported in the program
+// (Degraded).
+func CompileProgramParallel(ctx context.Context, workers int, factory MixedFactory, elements []string, limits guard.Limits, ckpt *guard.Checkpoint) (*TestProgram, error) {
 	workers = max(workers, 1)
 	start := time.Now()
+	ctx, cancel := limits.WithRunContext(ctx)
+	defer cancel()
+	prog := &TestProgram{}
+	v, err := prog.testElements(ctx, workers, factory, elements, limits)
+	if err != nil {
+		return nil, err
+	}
+	mx := v.mx
+	prog.CircuitName = fmt.Sprintf("%s→flash(%d)→%s",
+		mx.Analog.Name(), mx.Conv.NumComparators(), mx.Digital.Name)
+	if err := prog.testConversion(ctx, v); err != nil {
+		return nil, err
+	}
+	if err := prog.testDigital(ctx, workers, v, limits, ckpt); err != nil {
+		return nil, err
+	}
+	prog.GeneratedIn = time.Since(start)
+	return prog, nil
+}
 
-	type vehicle struct {
-		mx     *Mixed
-		matrix *analog.Matrix
-		prop   *Propagator
-	}
-	ws := make([]*vehicle, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := range ws {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			mx, matrix, err := factory()
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			prop, err := NewPropagator(mx, opts...)
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			ws[w] = &vehicle{mx: mx, matrix: matrix, prop: prop}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	mx := ws[0].mx
-	prog := &TestProgram{CircuitName: fmt.Sprintf("%s→flash(%d)→%s",
-		mx.Analog.Name(), mx.Conv.NumComparators(), mx.Digital.Name)}
-
-	// 1. Analog element tests, both bounds: a job per element×bound, fed
-	// to the workers over a channel; verdicts land in job order, so the
-	// commit below reads them in the same order for every worker count.
+// testElements is the analog phase: a job per element×bound, fed to one
+// worker per vehicle over a channel. Verdicts land in job order, so the
+// commit below reads them in the same order for every worker count. It
+// returns the first vehicle, which the later phases reuse.
+func (p *TestProgram) testElements(ctx context.Context, workers int, factory MixedFactory, elements []string, limits guard.Limits) (*vehicle, error) {
+	span, ctx := obs.Default.StartSpanCtx(ctx, "phase.analog")
+	defer span.End()
 	type job struct {
 		elem  string
 		bound Bound
@@ -163,94 +184,150 @@ func CompileProgramParallel(ctx context.Context, workers int, factory MixedFacto
 			jobs = append(jobs, job{elem, bound})
 		}
 	}
+
+	vs := make([]*vehicle, max(min(workers, len(jobs)), 1))
+	errs := make([]error, len(vs))
+	var wg sync.WaitGroup
+	for w := range vs {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			mx, matrix, err := factory()
+			if err != nil {
+				errs[w] = err
+				return
+			}
+			prop, err := NewPropagator(mx)
+			if err != nil {
+				errs[w] = err
+				return
+			}
+			vs[w] = &vehicle{mx: mx, matrix: matrix, prop: prop}
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+
 	verdicts := make([]ElementTest, len(jobs))
-	jobErrs := make([]error, len(jobs))
+	outs := make([]guard.Outcome, len(jobs))
 	jobCh := make(chan int)
-	for w := range ws {
+	for _, v := range vs {
 		wg.Add(1)
 		go func(v *vehicle) {
 			defer wg.Done()
 			for j := range jobCh {
-				verdicts[j], jobErrs[j] = v.mx.TestAnalogElementCtx(ctx, v.prop, v.matrix, jobs[j].elem, jobs[j].bound)
+				itemCtx, cancelItem := limits.WithItemContext(ctx)
+				outs[j] = guard.Do(itemCtx, obs.Default, "element:"+jobs[j].elem, func(ctx context.Context) error {
+					var err error
+					verdicts[j], err = v.mx.TestAnalogElementCtx(ctx, v.prop, v.matrix, jobs[j].elem, jobs[j].bound)
+					return err
+				})
+				cancelItem()
 			}
-		}(ws[w])
+		}(v)
 	}
 	for j := range jobs {
 		jobCh <- j
 	}
 	close(jobCh)
 	wg.Wait()
-	for j, err := range jobErrs {
-		if err != nil {
-			return nil, fmt.Errorf("core: element %s: %w", jobs[j].elem, err)
-		}
-	}
-	for j, verdict := range verdicts {
-		if !verdict.Testable {
-			prog.AnalogUntestable = append(prog.AnalogUntestable, UntestableElement{
-				Element: jobs[j].elem, Bound: jobs[j].bound, Reason: verdict.Reason,
-			})
-			continue
-		}
-		prog.AnalogTests = append(prog.AnalogTests, AnalogTest{
-			Element:    jobs[j].elem,
-			Bound:      jobs[j].bound,
-			Param:      verdict.Param,
-			Deviation:  verdict.ED,
-			Stimulus:   verdict.Act.Stim,
-			Comparator: verdict.Act.Target,
-			Expect:     verdict.Act.Pattern[verdict.Act.Target-1],
-			FreeInputs: verdict.Prop.Vector,
-			Outputs:    verdict.Prop.Outputs,
-		})
-	}
 
-	// 2. Conversion-block element tests (cheap; worker 0's vehicle).
-	census, err := mx.CensusPropagation(ws[0].prop)
-	if err != nil {
-		return nil, err
+	for j, verdict := range verdicts {
+		elem, bound := jobs[j].elem, jobs[j].bound
+		switch {
+		case !outs[j].OK():
+			p.AnalogAborted = append(p.AnalogAborted, AbortedElement{Element: elem, Bound: bound, Outcome: outs[j]})
+		case !verdict.Testable:
+			p.AnalogUntestable = append(p.AnalogUntestable, UntestableElement{
+				Element: elem, Bound: bound, Reason: verdict.Reason,
+			})
+		default:
+			p.AnalogTests = append(p.AnalogTests, AnalogTest{
+				Element:    elem,
+				Bound:      bound,
+				Param:      verdict.Param,
+				Deviation:  verdict.ED,
+				Stimulus:   verdict.Act.Stim,
+				Comparator: verdict.Act.Target,
+				Expect:     verdict.Act.Pattern[verdict.Act.Target-1],
+				FreeInputs: verdict.Prop.Vector,
+				Outputs:    verdict.Prop.Outputs,
+			})
+		}
 	}
+	return vs[0], nil
+}
+
+// testConversion is the conversion phase: the propagation census and the
+// ladder-resistor tests it allows (cheap; one vehicle).
+func (p *TestProgram) testConversion(ctx context.Context, v *vehicle) error {
+	span, _ := obs.Default.StartSpanCtx(ctx, "phase.conversion")
+	defer span.End()
+	census, err := v.mx.CensusPropagation(v.prop)
+	if err != nil {
+		return err
+	}
+	p.Census = census
 	opt := adc.DefaultEDOptions()
-	eds := mx.ConversionCoverage(census, opt)
-	best := mx.BestConversionComparators(census, opt)
+	eds := v.mx.ConversionCoverage(census, opt)
+	best := v.mx.BestConversionComparators(census, opt)
 	for i := range eds {
 		if best[i] == 0 || math.IsInf(eds[i], 1) {
 			continue
 		}
-		prog.ConversionTests = append(prog.ConversionTests, ConversionTest{
+		p.ConversionTests = append(p.ConversionTests, ConversionTest{
 			Element:    fmt.Sprintf("R%d", i+1),
 			Comparator: best[i],
 			Deviation:  eds[i],
 		})
 	}
+	return nil
+}
 
-	// 3. Constrained digital stuck-at vectors on the sharded runtime.
-	// ConstraintBDD only reads the converter and builds on the passed
-	// manager, so every shard rebuilds Fc on its own manager safely.
+// testDigital is the digital phase: constrained stuck-at vectors on the
+// sharded runtime, then static compaction. ConstraintBDD only reads the
+// converter and builds on the passed manager, so every shard rebuilds
+// Fc on its own manager safely.
+func (p *TestProgram) testDigital(ctx context.Context, workers int, v *vehicle, limits guard.Limits, ckpt *guard.Checkpoint) error {
+	span, ctx := obs.Default.StartSpanCtx(ctx, "phase.digital")
+	defer span.End()
+	mx := v.mx
 	fs := faults.Collapse(mx.Digital)
 	res, err := atpg.RunParallel(mx.Digital, fs,
 		atpg.WithContext(ctx),
+		atpg.WithLimits(limits),
+		atpg.WithCheckpoint(ckpt),
 		atpg.WithWorkers(workers),
-		atpg.WithShardOptions(opts...),
 		atpg.WithShardSetup(func(g *atpg.Generator) error {
 			g.SetConstraint(mx.Conv.ConstraintBDD(g.Manager(), mx.Binding))
 			return nil
 		}))
 	if err != nil {
-		return nil, err
+		return err
 	}
+	p.Digital = res
 	// Compact builds its own fault simulator over the circuit; any
 	// generator over mx.Digital serves.
-	prog.DigitalVectors = ws[0].prop.Generator().Compact(res.Vectors, fs)
-	prog.DigitalFaults = res.Total
-	prog.DigitalCoverage = res.Coverage()
+	p.DigitalVectors = v.prop.Generator().Compact(res.Vectors, fs)
+	p.DigitalFaults = res.Total
+	p.DigitalCoverage = res.Coverage()
 	for _, f := range res.Untestable {
-		prog.DigitalUntestable = append(prog.DigitalUntestable, f.Name(mx.Digital))
+		p.DigitalUntestable = append(p.DigitalUntestable, f.Name(mx.Digital))
 	}
-	sort.Strings(prog.DigitalUntestable)
+	sort.Strings(p.DigitalUntestable)
+	return nil
+}
 
-	prog.GeneratedIn = time.Since(start)
-	return prog, nil
+// Degraded reports whether work remains unclassified: an element test
+// that did not complete, or a digital fault aborted or timed out. A
+// resumed run (with the same checkpoint) re-attempts the digital ones.
+func (p *TestProgram) Degraded() bool {
+	return len(p.AnalogAborted) > 0 ||
+		(p.Digital != nil && len(p.Digital.Aborted)+len(p.Digital.TimedOut) > 0)
 }
 
 // Write renders the program as a human-readable test plan.
@@ -266,6 +343,13 @@ func (p *TestProgram) Write(w io.Writer) error {
 	for _, u := range p.AnalogUntestable {
 		pr("   !  %-4s %-5s bound: NOT TESTABLE (%s)\n", u.Element, u.Bound, u.Reason)
 	}
+	for _, a := range p.AnalogAborted {
+		verdict := "ABORTED"
+		if a.Outcome.Class == guard.TimedOut {
+			verdict = "TIMED OUT"
+		}
+		pr("   !  %-4s %-5s bound: %s (%s)\n", a.Element, a.Bound, verdict, a.Outcome.Reason)
+	}
 	pr("\n[2] conversion-block element tests (%d)\n", len(p.ConversionTests))
 	for i, t := range p.ConversionTests {
 		pr("  %2d. %-4s via comparator %d at ≥ %.1f%% deviation\n",
@@ -278,6 +362,9 @@ func (p *TestProgram) Write(w io.Writer) error {
 	}
 	if len(p.DigitalUntestable) > 0 {
 		pr("  untestable under the conversion constraints: %d\n", len(p.DigitalUntestable))
+	}
+	if d := p.Digital; d != nil && len(d.Aborted)+len(d.TimedOut) > 0 {
+		pr("  not classified: %d aborted, %d timed-out\n", len(d.Aborted), len(d.TimedOut))
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,6 +12,8 @@ import (
 	"repro/internal/atpg"
 	"repro/internal/circuits"
 	"repro/internal/faults"
+	"repro/internal/guard"
+	"repro/internal/guard/chaos"
 )
 
 func TestCompileProgramEndToEnd(t *testing.T) {
@@ -86,9 +89,10 @@ func TestCompileProgramEndToEnd(t *testing.T) {
 	}
 }
 
-func TestCompileProgramParallelMatchesSerial(t *testing.T) {
-	elements := []string{"Rd", "Rg", "R1"}
-	factory := func() (*Mixed, *analog.Matrix, error) {
+// testFactory builds independent Figure 4 vehicles with the sensitivity
+// matrix over elements.
+func testFactory(t *testing.T, elements []string) MixedFactory {
+	return func() (*Mixed, *analog.Matrix, error) {
 		mx := testMixed(t)
 		matrix, err := analog.BuildMatrix(mx.Analog, elements, circuits.BandPassParams(),
 			analog.EDOptions{Tol: 0.05, ElemTol: 0, MaxDev: 20, Step: 1e-4})
@@ -97,12 +101,17 @@ func TestCompileProgramParallelMatchesSerial(t *testing.T) {
 		}
 		return mx, matrix, nil
 	}
-	serial, err := CompileProgramParallel(context.Background(), 1, factory, elements)
+}
+
+func TestCompileProgramParallelMatchesSerial(t *testing.T) {
+	elements := []string{"Rd", "Rg", "R1"}
+	factory := testFactory(t, elements)
+	serial, err := CompileProgramParallel(context.Background(), 1, factory, elements, guard.Limits{}, nil)
 	if err != nil {
 		t.Fatalf("CompileProgramParallel(1): %v", err)
 	}
 	for _, workers := range []int{2, 3} {
-		par, err := CompileProgramParallel(context.Background(), workers, factory, elements)
+		par, err := CompileProgramParallel(context.Background(), workers, factory, elements, guard.Limits{}, nil)
 		if err != nil {
 			t.Fatalf("CompileProgramParallel(%d): %v", workers, err)
 		}
@@ -114,6 +123,12 @@ func TestCompileProgramParallelMatchesSerial(t *testing.T) {
 		}
 		if !reflect.DeepEqual(par.AnalogUntestable, serial.AnalogUntestable) {
 			t.Errorf("workers=%d: untestable analog elements diverge", workers)
+		}
+		if !reflect.DeepEqual(par.AnalogAborted, serial.AnalogAborted) {
+			t.Errorf("workers=%d: aborted element tests = %+v, want %+v", workers, par.AnalogAborted, serial.AnalogAborted)
+		}
+		if !reflect.DeepEqual(par.Census, serial.Census) {
+			t.Errorf("workers=%d: census = %+v, want %+v", workers, par.Census, serial.Census)
 		}
 		if !reflect.DeepEqual(par.ConversionTests, serial.ConversionTests) {
 			t.Errorf("workers=%d: conversion tests diverge", workers)
@@ -132,6 +147,112 @@ func TestCompileProgramParallelMatchesSerial(t *testing.T) {
 		if got, want := sim.Coverage(par.DigitalVectors, fs), sim.Coverage(serial.DigitalVectors, fs); got != want {
 			t.Errorf("workers=%d: parallel vectors detect %d faults, serial detect %d", workers, got, want)
 		}
+	}
+}
+
+// TestCompileProgramSurvivesElementPanics injects a panic into every
+// test of one element: the flow must finish, file both of its bounds
+// under AnalogAborted with reason "panic", read as degraded, and leave
+// every other analog test as a clean run computes it — at one worker
+// and on a pool.
+func TestCompileProgramSurvivesElementPanics(t *testing.T) {
+	elements := []string{"Rd", "Rg", "R1"}
+	factory := testFactory(t, elements)
+	clean, err := CompileProgramParallel(context.Background(), 1, factory, elements, guard.Limits{}, nil)
+	if err != nil {
+		t.Fatalf("clean compile: %v", err)
+	}
+	if clean.Degraded() || len(clean.AnalogAborted) != 0 {
+		t.Fatalf("clean compile degraded: %+v", clean.AnalogAborted)
+	}
+
+	// The injector's choice is a pure function of its seed: take the
+	// first seed under which exactly one element's tests panic.
+	var in *chaos.Injector
+	var victim string
+	for seed := int64(1); victim == ""; seed++ {
+		cand := chaos.New(seed, 0.4, chaos.AtSites(chaos.SiteCoreElement), chaos.WithAction(chaos.Panic))
+		var fired []string
+		for _, e := range elements {
+			if cand.Decide(chaos.SiteCoreElement, e) == chaos.Panic {
+				fired = append(fired, e)
+			}
+		}
+		if len(fired) == 1 {
+			in, victim = cand, fired[0]
+		}
+	}
+	var want []AnalogTest
+	for _, at := range clean.AnalogTests {
+		if at.Element != victim {
+			want = append(want, at)
+		}
+	}
+
+	ctx := chaos.Into(context.Background(), in)
+	for _, workers := range []int{1, 3} {
+		prog, err := CompileProgramParallel(ctx, workers, factory, elements, guard.Limits{}, nil)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(prog.AnalogAborted) != 2 {
+			t.Fatalf("workers=%d: aborted element tests = %+v, want both bounds of %s", workers, prog.AnalogAborted, victim)
+		}
+		for i, bound := range []Bound{UpperBound, LowerBound} {
+			a := prog.AnalogAborted[i]
+			if a.Element != victim || a.Bound != bound || a.Outcome.Class != guard.Aborted || a.Outcome.Reason != "panic" {
+				t.Errorf("workers=%d: aborted[%d] = %s %s %v (%s), want %s %s aborted (panic)",
+					workers, i, a.Element, a.Bound, a.Outcome.Class, a.Outcome.Reason, victim, bound)
+			}
+		}
+		if !prog.Degraded() {
+			t.Errorf("workers=%d: a program with aborted element tests must read as degraded", workers)
+		}
+		if !reflect.DeepEqual(prog.AnalogTests, want) {
+			t.Errorf("workers=%d: surviving analog tests diverge from the clean run:\n%+v\nwant\n%+v", workers, prog.AnalogTests, want)
+		}
+		var sb strings.Builder
+		if err := prog.Write(&sb); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+		if !strings.Contains(sb.String(), victim) || !strings.Contains(sb.String(), "ABORTED (panic)") {
+			t.Errorf("workers=%d: plan does not list the aborted tests:\n%s", workers, sb.String())
+		}
+	}
+}
+
+// TestCompileProgramResumesFromCheckpoint compiles with a checkpoint,
+// then compiles again on the reopened file: the second digital run must
+// restore every fault instead of recomputing it, and every section of
+// the program must come out as the first compile wrote it.
+func TestCompileProgramResumesFromCheckpoint(t *testing.T) {
+	elements := []string{"Rd", "Rg", "R1"}
+	factory := testFactory(t, elements)
+	path := filepath.Join(t.TempDir(), "prog.ckpt")
+	compile := func() *TestProgram {
+		t.Helper()
+		ckpt, err := guard.OpenCheckpoint(path, "core-test")
+		if err != nil {
+			t.Fatalf("OpenCheckpoint: %v", err)
+		}
+		prog, err := CompileProgramParallel(context.Background(), 2, factory, elements, guard.Limits{}, ckpt)
+		if err != nil {
+			t.Fatalf("CompileProgramParallel: %v", err)
+		}
+		return prog
+	}
+	first := compile()
+	second := compile()
+	if first.Digital.Resumed != 0 {
+		t.Errorf("first compile resumed %d faults from an empty checkpoint", first.Digital.Resumed)
+	}
+	if second.Digital.Resumed != second.DigitalFaults {
+		t.Errorf("second compile resumed %d of %d faults", second.Digital.Resumed, second.DigitalFaults)
+	}
+	first.Digital, second.Digital = nil, nil
+	first.GeneratedIn, second.GeneratedIn = 0, 0
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("resumed program differs:\n%+v\nwant\n%+v", second, first)
 	}
 }
 

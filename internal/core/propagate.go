@@ -27,9 +27,9 @@ type Propagator struct {
 
 // NewPropagator builds the digital block's good OBDDs and declares D as
 // the final variable.
-func NewPropagator(mx *Mixed, opts ...atpg.Option) (*Propagator, error) {
+func NewPropagator(mx *Mixed) (*Propagator, error) {
 	defer obs.Default.StartSpan("core.build_propagator").End()
-	gen, err := atpg.New(mx.Digital, opts...)
+	gen, err := atpg.New(mx.Digital)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/atpg"
 	"repro/internal/faults"
+	"repro/internal/iscas"
 )
 
 // AblationRow compares ATPG strategies on one circuit: the paper's plain
@@ -40,7 +41,7 @@ var ablationCircuits = []string{"c432", "c499", "c880"}
 
 // RunAblationCircuit computes one ablation row; exported for benchmarks.
 func RunAblationCircuit(name string) (AblationRow, error) {
-	c, err := benchmarkCircuit(name)
+	c, err := iscas.Benchmark(name)
 	if err != nil {
 		return AblationRow{}, err
 	}

@@ -1,8 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"math/rand"
 
+	"repro/internal/adc"
+	"repro/internal/analog"
+	"repro/internal/circuits"
+	"repro/internal/core"
 	"repro/internal/iscas"
 	"repro/internal/logic"
 )
@@ -41,7 +46,36 @@ func BoundInputs(c *logic.Circuit, name string) []string {
 	return out
 }
 
-// benchmarkCircuit generates a Table 4 benchmark.
-func benchmarkCircuit(name string) (*logic.Circuit, error) {
-	return iscas.Benchmark(name)
+// Vehicle builds one of the paper's two mixed-signal vehicles with the
+// analog elements under test and their parameters: "bandpass" is the
+// Figure 4 circuit (band-pass filter, 2-comparator flash, Figure 3
+// digital block) and pairs only with digital "fig3"; "chebyshev" is
+// Example 3 (fifth-order Chebyshev filter, 15-comparator flash) over
+// the named Table 4 benchmark, driven on its BoundInputs. An empty
+// digital selects the circuit's default, fig3 or c880; the digital
+// block is named after the resolved choice (mx.Digital.Name). Each call
+// builds an independent copy, and construction is deterministic, so
+// copies behave identically.
+func Vehicle(circuit, digital string) (*core.Mixed, []string, []analog.Parameter, error) {
+	switch circuit {
+	case "bandpass":
+		if digital != "" && digital != "fig3" {
+			return nil, nil, nil, fmt.Errorf("the band-pass vehicle pairs with digital fig3, not %q", digital)
+		}
+		mx, err := core.NewMixed(circuits.BandPass2(), circuits.BandPassOutput,
+			adc.NewFlash(2, 0, 3), iscas.Fig3(), iscas.Fig3ConstrainedLines())
+		return mx, circuits.BandPassElements, circuits.BandPassParams(), err
+	case "chebyshev":
+		if digital == "" {
+			digital = "c880"
+		}
+		dig, err := iscas.Benchmark(digital)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		mx, err := core.NewMixed(circuits.Chebyshev5(), circuits.ChebyshevOutput,
+			adc.NewFlash(ComparatorCount, 0, float64(ComparatorCount+1)), dig, BoundInputs(dig, digital))
+		return mx, circuits.ChebyshevElements, circuits.ChebyshevParams(), err
+	}
+	return nil, nil, nil, fmt.Errorf("unknown circuit %q (want bandpass or chebyshev)", circuit)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/analog"
+	"repro/internal/iscas"
 )
 
 // run is a test helper executing one experiment once.
@@ -382,7 +383,7 @@ func TestExperimentsDeterministic(t *testing.T) {
 }
 
 func TestBoundInputsDeterministic(t *testing.T) {
-	c, err := benchmarkCircuit("c432")
+	c, err := iscas.Benchmark("c432")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/adc"
-	"repro/internal/circuits"
 	"repro/internal/core"
-	"repro/internal/iscas"
 	"repro/internal/waveform"
 )
 
@@ -26,8 +23,7 @@ func init() {
 }
 
 func runFig6() (*Result, error) {
-	mx, err := core.NewMixed(circuits.BandPass2(), circuits.BandPassOutput,
-		adc.NewFlash(2, 0, 3), iscas.Fig3(), iscas.Fig3ConstrainedLines())
+	mx, _, _, err := Vehicle("bandpass", "")
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/adc"
 	"repro/internal/analog"
 	"repro/internal/circuits"
 	"repro/internal/core"
@@ -62,12 +61,7 @@ func runTable3() (*Result, error) {
 	}
 	ts := matrix.SelectTestSet()
 
-	dig, err := benchmarkCircuit(table3Digital)
-	if err != nil {
-		return nil, err
-	}
-	flash := adc.NewFlash(ComparatorCount, 0, float64(ComparatorCount+1))
-	mx, err := core.NewMixed(circuits.Chebyshev5(), circuits.ChebyshevOutput, flash, dig, BoundInputs(dig, table3Digital))
+	mx, _, _, err := Vehicle("chebyshev", table3Digital)
 	if err != nil {
 		return nil, err
 	}

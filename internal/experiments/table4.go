@@ -7,6 +7,7 @@ import (
 	"repro/internal/adc"
 	"repro/internal/atpg"
 	"repro/internal/faults"
+	"repro/internal/iscas"
 )
 
 // Table4Row mirrors one row of the paper's Table 4: test generation with
@@ -32,7 +33,7 @@ func init() {
 // RunTable4Circuit produces one row of Table 4. Exported for the
 // per-circuit root benchmarks.
 func RunTable4Circuit(name string) (Table4Row, error) {
-	c, err := benchmarkCircuit(name)
+	c, err := iscas.Benchmark(name)
 	if err != nil {
 		return Table4Row{}, err
 	}

@@ -3,8 +3,6 @@ package experiments
 import (
 	"time"
 
-	"repro/internal/adc"
-	"repro/internal/circuits"
 	"repro/internal/core"
 )
 
@@ -29,12 +27,7 @@ func init() {
 // and for Table 7, which restricts the conversion coverage to the
 // propagatable comparators.
 func RunTable5Circuit(name string) (Table5Row, error) {
-	dig, err := benchmarkCircuit(name)
-	if err != nil {
-		return Table5Row{}, err
-	}
-	flash := adc.NewFlash(ComparatorCount, 0, float64(ComparatorCount+1))
-	mx, err := core.NewMixed(circuits.Chebyshev5(), circuits.ChebyshevOutput, flash, dig, BoundInputs(dig, name))
+	mx, _, _, err := Vehicle("chebyshev", name)
 	if err != nil {
 		return Table5Row{}, err
 	}
@@ -49,7 +42,7 @@ func RunTable5Circuit(name string) (Table5Row, error) {
 	}
 	return Table5Row{
 		Circuit:     name,
-		PI:          len(dig.Inputs()),
+		PI:          len(mx.Digital.Inputs()),
 		PIFromCB:    ComparatorCount,
 		BlockedLow:  len(census.BlockedLow),
 		BlockedHigh: len(census.BlockedHigh),

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/adc"
-	"repro/internal/circuits"
 	"repro/internal/core"
 )
 
@@ -27,12 +26,7 @@ func init() {
 // RunTable7Circuit computes the restricted coverage through one digital
 // block; exported for the root benchmarks.
 func RunTable7Circuit(name string) (Table7Block, error) {
-	dig, err := benchmarkCircuit(name)
-	if err != nil {
-		return Table7Block{}, err
-	}
-	flash := Table6Flash()
-	mx, err := core.NewMixed(circuits.Chebyshev5(), circuits.ChebyshevOutput, flash, dig, BoundInputs(dig, name))
+	mx, _, _, err := Vehicle("chebyshev", name)
 	if err != nil {
 		return Table7Block{}, err
 	}

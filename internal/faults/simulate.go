@@ -8,15 +8,6 @@ import (
 	"repro/internal/obs"
 )
 
-// Simulation counters, resolved once against the process-wide collector.
-// A "batch" is one 64-vector-wide parallel pass over the pending fault
-// list — the unit of fault-simulation work.
-var (
-	cSimCalls    = obs.Default.Counter("faults.sim.calls")
-	cSimBatches  = obs.Default.Counter("faults.sim.batches")
-	cSimDetected = obs.Default.Counter("faults.sim.detected")
-)
-
 // Vector is one fully specified input pattern, aligned with the circuit's
 // Inputs() order.
 type Vector []bool
@@ -83,6 +74,11 @@ type Simulator struct {
 	diff    uint64 // OR over outputs of faulty ^ good, set by propagate
 	fanin   []uint64
 	pending []int // Detect's undetected fault indices
+
+	// Detect's counters (see Instrument). A "batch" is one 64-vector-wide
+	// parallel pass over the pending fault list — the unit of
+	// fault-simulation work.
+	calls, batches, detected *obs.Counter
 }
 
 // NewSimulator creates a fault simulator for the (frozen) circuit.
@@ -107,7 +103,17 @@ func NewSimulator(c *logic.Circuit) *Simulator {
 	for l := 1; l < len(s.start); l++ {
 		s.start[l] += s.start[l-1]
 	}
+	s.Instrument(obs.Default)
 	return s
+}
+
+// Instrument directs the simulator's counters (faults.sim.calls,
+// faults.sim.batches, faults.sim.detected) at col; NewSimulator starts
+// on obs.Default. A nil col disables them.
+func (s *Simulator) Instrument(col *obs.Collector) {
+	s.calls = col.Counter("faults.sim.calls")
+	s.batches = col.Counter("faults.sim.batches")
+	s.detected = col.Counter("faults.sim.detected")
 }
 
 // Load makes the first min(len(vectors), 64) vectors the loaded batch —
@@ -243,7 +249,7 @@ func (s *Simulator) restore() {
 // detects it. Detected faults are dropped from further batches. Detect
 // replaces the loaded batch.
 func (s *Simulator) Detect(vectors []Vector, fs []Fault) []int {
-	cSimCalls.Inc()
+	s.calls.Inc()
 	res := make([]int, len(fs))
 	for i := range res {
 		res[i] = -1
@@ -253,12 +259,12 @@ func (s *Simulator) Detect(vectors []Vector, fs []Fault) []int {
 		s.pending = append(s.pending, i)
 	}
 	for base := 0; base < len(vectors) && len(s.pending) > 0; base += 64 {
-		cSimBatches.Inc()
+		s.batches.Inc()
 		s.Load(vectors[base:])
 		still := s.pending[:0]
 		for _, fi := range s.pending {
 			if d := s.Diff(fs[fi]); d != 0 {
-				cSimDetected.Inc()
+				s.detected.Inc()
 				// Lowest set bit = first detecting vector in this batch.
 				res[fi] = base + bits.TrailingZeros64(d)
 			} else {

@@ -7,7 +7,7 @@ import (
 )
 
 // Backoff is an exponential retry-delay policy with deterministic
-// jitter: attempt n waits Base·Factor^n, capped at Max, minus a
+// jitter: attempt n waits Base·2^n, capped at Max, minus a
 // jittered fraction so a fleet of retriers spreads out instead of
 // thundering back in lockstep. The jitter is a pure function of
 // (Seed, key, attempt) — the same deterministic-hash discipline as the
@@ -21,9 +21,6 @@ type Backoff struct {
 	Base time.Duration
 	// Max caps the grown delay; 0 means uncapped.
 	Max time.Duration
-	// Factor is the per-attempt growth multiplier; values below 1 are
-	// treated as the conventional 2.
-	Factor float64
 	// Jitter is the fraction of each delay that is randomized away, in
 	// [0, 1]: the delay for attempt n lands in
 	// [(1-Jitter)·d(n), d(n)]. 0 means fully deterministic delays.
@@ -39,13 +36,9 @@ func (b Backoff) Delay(attempt int, key string) time.Duration {
 	if b.Base <= 0 || attempt < 0 {
 		return 0
 	}
-	factor := b.Factor
-	if factor < 1 {
-		factor = 2
-	}
 	d := float64(b.Base)
 	for i := 0; i < attempt; i++ {
-		d *= factor
+		d *= 2
 		if b.Max > 0 && d >= float64(b.Max) {
 			d = float64(b.Max)
 			break

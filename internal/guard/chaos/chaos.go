@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"strings"
 
 	"repro/internal/guard"
 )
@@ -176,6 +177,47 @@ func New(seed int64, prob float64, opts ...Option) *Injector {
 		o(in)
 	}
 	return in
+}
+
+// FromFlags builds the injector the -chaos-* command-line flags
+// describe, or nil when prob is not positive (injection off). sites is a
+// comma-separated list of registered sites (empty: every site) and
+// action one of "panic", "error", "budget" or "timeout". An unknown
+// action or site is an error naming the flag.
+func FromFlags(prob float64, seed int64, sites, action string) (*Injector, error) {
+	if prob <= 0 {
+		return nil, nil
+	}
+	var a Action
+	switch action {
+	case "panic":
+		a = Panic
+	case "error":
+		a = Error
+	case "budget":
+		a = Budget
+	case "timeout":
+		a = Timeout
+	default:
+		return nil, fmt.Errorf("unknown -chaos-action %q (want panic, error, budget or timeout)", action)
+	}
+	opts := []Option{WithAction(a)}
+	if sites != "" {
+		var list []string
+		for _, s := range strings.Split(sites, ",") {
+			if s = strings.TrimSpace(s); s == "" {
+				continue
+			}
+			if !KnownSite(s) {
+				return nil, fmt.Errorf("unknown -chaos-sites entry %q (registered sites: %s)",
+					s, strings.Join(Sites(), ", "))
+			}
+			list = append(list, s)
+		}
+		//lint:allow chaossite flag values are validated against chaos.KnownSite above
+		opts = append(opts, AtSites(list...))
+	}
+	return New(seed, prob, opts...), nil
 }
 
 // Decide returns the action for one (site, key) pair. Pure: the same

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/guard"
@@ -142,5 +143,32 @@ func TestSiteRegistry(t *testing.T) {
 	}
 	if !KnownSite("atpg.shard") {
 		t.Error(`KnownSite("atpg.shard") = false`)
+	}
+}
+
+// TestFromFlags checks the parser both commands share: injection off
+// below a positive probability, the action and site list applied as
+// given, and unknown values rejected with the flag named.
+func TestFromFlags(t *testing.T) {
+	if in, err := FromFlags(0, 1, "no.such.site", "explode"); in != nil || err != nil {
+		t.Errorf("prob 0: injector %v, err %v; want nil, nil", in, err)
+	}
+	in, err := FromFlags(1, 7, " atpg.fault, ,core.element", "budget")
+	if err != nil {
+		t.Fatalf("FromFlags: %v", err)
+	}
+	if got := in.Decide(SiteCoreElement, "Rd"); got != Budget {
+		t.Errorf("listed site decides %v, want budget", got)
+	}
+	if got := in.Decide(SiteMNASolve, "Rd"); got != None {
+		t.Errorf("unlisted site decides %v, want none", got)
+	}
+	for _, tc := range []struct{ sites, action, flag string }{
+		{"", "explode", "-chaos-action"},
+		{"atpg.fault,no.such.site", "panic", "-chaos-sites"},
+	} {
+		if _, err := FromFlags(0.5, 1, tc.sites, tc.action); err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("FromFlags(%q, %q) error = %v, want one naming %s", tc.sites, tc.action, err, tc.flag)
+		}
 	}
 }

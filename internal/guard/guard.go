@@ -12,7 +12,7 @@
 //     raised by the BDD node-budget and MNA solve-cap checks;
 //   - panic isolation (Do recovers panics into an Aborted outcome with
 //     the stack captured);
-//   - bounded retry with backoff for retryable aborts (Run);
+//   - bounded, immediate retry of aborted items (Run);
 //   - checkpoint/resume of completed per-item results (Checkpoint), so
 //     a killed run restarts without recomputation.
 //
@@ -132,15 +132,9 @@ type Limits struct {
 	// BDDNodes caps how many BDD nodes one work item may allocate
 	// (bdd.Manager.SetNodeBudget); 0 means uncapped.
 	BDDNodes int
-	// MNASolves caps how many matrix solves one work item may issue
-	// (mna.Circuit.SetSolveBudget); 0 means uncapped.
-	MNASolves int64
-	// MaxRetries bounds how many extra attempts a retryable abort gets.
+	// MaxRetries bounds how many extra attempts an aborted item gets;
+	// each retry runs at once.
 	MaxRetries int
-	// RetryBackoff is the base pause before the first retry attempt;
-	// consumers grow it per the Backoff policy (exponential with
-	// jitter). Keep it small: retries happen inside a per-run deadline.
-	RetryBackoff time.Duration
 }
 
 // WithItemContext derives the per-item context: ctx plus the per-item
@@ -238,71 +232,32 @@ func count(col *obs.Collector, out Outcome) {
 	}
 }
 
-// RetryPolicy says which outcomes of an attempt are worth retrying.
-// Timeouts and cancellations are never retried — the clock that killed
-// them is still running.
+// RetryPolicy bounds the retries of one item. Only Aborted outcomes
+// (panics and budget trips — the degradations a bigger budget or plain
+// luck can fix) are retried; timeouts and cancellations never are — the
+// clock that killed them is still running.
 type RetryPolicy struct {
 	MaxRetries int
-	Backoff    time.Duration
-	// BackoffPolicy, when its Base is set, replaces the linear Backoff
-	// pause with exponential backoff and deterministic jitter (see the
-	// Backoff type). The retried item's name keys the jitter hash, so
-	// concurrent retriers of different items de-correlate.
-	BackoffPolicy Backoff
-	// Retryable decides per outcome; nil retries every Aborted outcome
-	// (panics and budget trips — the degradations a different strategy,
-	// a bigger budget or plain luck can fix).
-	Retryable func(Outcome) bool
 }
 
-// DefaultRetryable is the nil-policy rule: retry aborts, not timeouts.
-func DefaultRetryable(o Outcome) bool { return o.Class == Aborted }
-
 // Run executes fn under Do with bounded retry: attempt 0 is the first
-// try; each retryable failure sleeps the (linearly scaled) backoff and
-// runs again with the next attempt number, so fn can escalate its
-// strategy (bigger node budget, sifted variable order, pivoting
-// fallback). The returned outcome is the last attempt's, with Attempts
-// set to the total number of tries. Retries are counted on col as
-// guard.retries.
+// try; each aborted attempt runs again at once with the next attempt
+// number, so fn can escalate its strategy (bigger node budget, sifted
+// variable order, pivoting fallback), unless ctx is already done. The
+// returned outcome is the last attempt's, with Attempts set to the
+// total number of tries. Retries are counted on col as guard.retries.
 func Run(ctx context.Context, col *obs.Collector, name string, p RetryPolicy, fn func(ctx context.Context, attempt int) error) Outcome {
-	retryable := p.Retryable
-	if retryable == nil {
-		retryable = DefaultRetryable
-	}
 	var out Outcome
 	for attempt := 0; ; attempt++ {
 		a := attempt
 		out = Do(ctx, col, name, func(ctx context.Context) error { return fn(ctx, a) })
 		out.Attempts = attempt + 1
-		if out.OK() || attempt >= p.MaxRetries || !retryable(out) {
+		if out.OK() || attempt >= p.MaxRetries || out.Class != Aborted {
 			return out
 		}
-		var pause time.Duration
-		if p.BackoffPolicy.Base > 0 {
-			pause = p.BackoffPolicy.Delay(attempt, name)
-		} else if p.Backoff > 0 {
-			pause = p.Backoff * time.Duration(attempt+1)
-		}
-		if pause > 0 {
-			t := time.NewTimer(pause)
-			select {
-			case <-t.C:
-			case <-ctxDone(ctx):
-				t.Stop()
-				return out
-			}
-		} else if ctx != nil && ctx.Err() != nil {
+		if ctx != nil && ctx.Err() != nil {
 			return out
 		}
 		col.Counter("guard.retries").Inc()
 	}
-}
-
-// ctxDone returns ctx.Done(), tolerating a nil context.
-func ctxDone(ctx context.Context) <-chan struct{} {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Done()
 }

@@ -29,10 +29,11 @@ const DefaultSampleInterval = time.Second
 // it retains the last five minutes of history.
 const DefaultSampleCapacity = 300
 
-// Sampler periodically snapshots a collector and keeps the per-interval
-// deltas (Snapshot.Sub) in a bounded ring, so per-second rates and a
-// short time series are available from a single scrape (/samples)
-// instead of requiring the client to diff two /varz reads itself.
+// Sampler periodically snapshots a collector's metrics and keeps the
+// per-interval deltas (Snapshot.Sub) in a bounded ring, so per-second
+// rates and a short time series are available from a single scrape
+// (/samples) instead of requiring the client to diff two /varz reads
+// itself.
 //
 // The clock is injectable for tests: Tick(now) performs one capture and
 // derives the window length from the previous tick's now, so a fake
@@ -80,12 +81,10 @@ func (s *Sampler) Tick(now time.Time) {
 	// latency) into the collector first, so every sample window carries
 	// runtime.* gauge levels alongside the pipeline's counters.
 	obs.CaptureRuntime(s.col)
-	snap := s.col.Snapshot()
 	// Samples carry the aggregate movement only; the event/span tails
-	// are served by /events and /varz and would bloat the ring.
-	snap.Events = nil
-	snap.EventsDropped = 0
-	snap.Spans = nil
+	// are served by /events and /varz, and copying them each tick would
+	// cost in proportion to the logs.
+	snap := s.col.Metrics()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

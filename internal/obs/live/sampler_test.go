@@ -1,6 +1,8 @@
 package live
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -113,5 +115,37 @@ func TestSamplerDefaults(t *testing.T) {
 	s.Tick(clk.advance(time.Second))
 	if samples, _ := s.Samples(); len(samples) != 1 {
 		t.Errorf("nil-collector samples = %d, want 1", len(samples))
+	}
+}
+
+// TestSamplerTickCopiesMetricsOnly fills a collector's span log and
+// event ring, then ticks: a tick must cost in proportion to the metrics,
+// not the logs, which the sampler never reads. Copying 20,000 events and
+// spans per tick allocates megabytes; the metrics of 40 counters and 40
+// gauges, a few kilobytes.
+func TestSamplerTickCopiesMetricsOnly(t *testing.T) {
+	const n = 20000
+	col := obs.NewCollector(obs.WithMaxSpans(n), obs.WithMaxEvents(n))
+	for i := 0; i < n; i++ {
+		col.Event("fault", "f", obs.Str("outcome", "tested"))
+		col.StartSpan("atpg.fault").End()
+	}
+	for i := 0; i < 40; i++ {
+		col.Counter(fmt.Sprintf("c%d", i)).Inc()
+		col.Gauge(fmt.Sprintf("g%d", i)).Set(int64(i))
+	}
+	clk := newFakeClock()
+	s := NewSampler(col, time.Second, 8)
+	s.Tick(clk.now)
+
+	const ticks = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < ticks; i++ {
+		s.Tick(clk.advance(time.Second))
+	}
+	runtime.ReadMemStats(&after)
+	if perTick := (after.TotalAlloc - before.TotalAlloc) / ticks; perTick >= 64<<10 {
+		t.Errorf("a tick allocates %d bytes on a collector with %d events and spans, want < 64 KB", perTick, n)
 	}
 }

@@ -24,9 +24,27 @@ type Snapshot struct {
 	EventsDropped int64                        `json:"events_dropped,omitempty"`
 }
 
-// Snapshot captures the collector's current state. Returns an empty
-// snapshot on a nil collector.
+// Snapshot captures the collector's current state: Metrics plus the span
+// and event logs. Returns an empty snapshot on a nil collector.
 func (c *Collector) Snapshot() *Snapshot {
+	s := c.Metrics()
+	if c == nil {
+		return s
+	}
+	c.mu.Lock()
+	s.Spans = make([]SpanRecord, len(c.spans))
+	copy(s.Spans, c.spans)
+	s.SpansDropped = c.spansDrop
+	c.mu.Unlock()
+	s.Events, s.EventsDropped = c.events.events()
+	return s
+}
+
+// Metrics captures the collector's counters, gauges and histograms, with
+// the rates derived from them, but not its span and event logs: its cost
+// does not grow with the logs, which is what a periodic sampler needs.
+// Returns an empty snapshot on a nil collector.
+func (c *Collector) Metrics() *Snapshot {
 	s := &Snapshot{
 		TakenAt:    time.Now(),
 		Counters:   map[string]int64{},
@@ -50,11 +68,7 @@ func (c *Collector) Snapshot() *Snapshot {
 	for n, h := range c.histograms {
 		histograms[n] = h
 	}
-	s.Spans = make([]SpanRecord, len(c.spans))
-	copy(s.Spans, c.spans)
-	s.SpansDropped = c.spansDrop
 	c.mu.Unlock()
-	s.Events, s.EventsDropped = c.events.events()
 
 	for n, ctr := range counters {
 		s.Counters[n] = ctr.Load()

@@ -71,8 +71,10 @@ type FaultSection struct {
 }
 
 // ElementRecord is one analog element test distilled from its event.
+// Bound names the tolerance bound the test probed ("upper", "lower").
 type ElementRecord struct {
 	Name       string  `json:"name"`
+	Bound      string  `json:"bound,omitempty"`
 	Testable   bool    `json:"testable"`
 	Reason     string  `json:"reason,omitempty"`
 	ED         float64 `json:"ed,omitempty"`
@@ -214,6 +216,7 @@ func buildElements(s *obs.Snapshot) *ElementSection {
 		}
 		rec := ElementRecord{
 			Name:       ev.Name,
+			Bound:      ev.Attr("bound"),
 			Testable:   ev.Attr("outcome") == "testable",
 			Reason:     ev.Attr("reason"),
 			ED:         atof(ev.Attr("ed")),
@@ -328,11 +331,15 @@ func (r *Report) WriteText(w io.Writer) error {
 			p("  %-16s %d\n", reason, e.Reasons[reason])
 		}
 		for _, rec := range e.Elements {
+			name := rec.Name
+			if rec.Bound != "" {
+				name += " " + rec.Bound
+			}
 			if rec.Testable {
 				p("  %-4s ED %.1f%% via %s, comparator %d, stim %s\n",
-					rec.Name, 100*rec.ED, rec.Param, rec.Comparator, rec.Stimulus)
+					name, 100*rec.ED, rec.Param, rec.Comparator, rec.Stimulus)
 			} else {
-				p("  %-4s NOT TESTABLE (%s)\n", rec.Name, rec.Reason)
+				p("  %-4s NOT TESTABLE (%s)\n", name, rec.Reason)
 			}
 		}
 	}

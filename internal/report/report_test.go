@@ -172,3 +172,38 @@ func TestWriteTextReadsSnapshot(t *testing.T) {
 		}
 	}
 }
+
+// TestElementBound checks that an element event's bound attribute
+// reaches its record and its text line, so the two tests of one element
+// read apart; the golden fixture's events carry no bound and render as
+// before.
+func TestElementBound(t *testing.T) {
+	s := &obs.Snapshot{Events: []obs.Event{
+		{Kind: "element", Name: "Rd", DurNs: 1000,
+			Attrs: []obs.Attr{obs.Str("outcome", "testable"), obs.Str("bound", "upper"), obs.Float("ed", 0.1),
+				obs.Str("param", "A1"), obs.Int("comparator", 1)}},
+		{Kind: "element", Name: "Rd", DurNs: 1000,
+			Attrs: []obs.Attr{obs.Str("outcome", "untestable"), obs.Str("bound", "lower"), obs.Str("reason", "unpropagatable")}},
+	}}
+	r := Build(s)
+	if r.Elements == nil || len(r.Elements.Elements) != 2 {
+		t.Fatalf("elements section = %+v", r.Elements)
+	}
+	for i, want := range []string{"upper", "lower"} {
+		if got := r.Elements.Elements[i].Bound; got != want {
+			t.Errorf("element %d bound = %q, want %q", i, got, want)
+		}
+	}
+	var buf bytes.Buffer
+	if err := r.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"Rd upper ED 10.0%", "Rd lower NOT TESTABLE (unpropagatable)"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("text report lacks %q:\n%s", want, buf.String())
+		}
+	}
+	if golden := buildFixed(t).Elements.Elements[0]; golden.Bound != "" {
+		t.Errorf("golden fixture's element gained bound %q", golden.Bound)
+	}
+}

@@ -126,6 +126,10 @@ func TestHTTPJobAPI(t *testing.T) {
 	if got := rep.Snapshot.Counters["atpg.faults.total"]; got != rep.Faults.Total {
 		t.Errorf("job report's snapshot counts atpg.faults.total = %d, its faults section %d", got, rep.Faults.Total)
 	}
+	// The job's fault simulation records on the job's own collector.
+	if rep.Snapshot.Counters["faults.sim.calls"] == 0 {
+		t.Errorf("job report's snapshot has no faults.sim.calls: %v", rep.Snapshot.Counters)
+	}
 
 	// Unknown ids are 404s on every job endpoint.
 	for _, path := range []string{"/api/v1/jobs/job-999", "/api/v1/jobs/job-999/result",

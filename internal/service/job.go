@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"repro/internal/atpg"
-	"repro/internal/iscas"
+	"repro/internal/experiments"
 	"repro/internal/logic"
 )
 
@@ -86,24 +86,11 @@ func (s *JobSpec) Validate() error {
 	if s.Circuit == "" {
 		s.Circuit = "chebyshev"
 	}
-	switch s.Circuit {
-	case "bandpass":
-		if s.Digital == "" {
-			s.Digital = "fig3"
-		}
-		if s.Digital != "fig3" {
-			return fmt.Errorf("the band-pass vehicle pairs with digital fig3")
-		}
-	case "chebyshev":
-		if s.Digital == "" {
-			s.Digital = "c880"
-		}
-		if _, err := iscas.Benchmark(s.Digital); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown circuit %q (want bandpass or chebyshev)", s.Circuit)
+	mx, _, _, err := experiments.Vehicle(s.Circuit, s.Digital)
+	if err != nil {
+		return err
 	}
+	s.Digital = mx.Digital.Name
 	if s.Workers < 0 || s.RandomVectors < 0 || s.BDDNodes < 0 || s.MaxRetries < 0 ||
 		s.RunTimeoutMs < 0 || s.FaultTimeoutMs < 0 {
 		return fmt.Errorf("negative budgets are invalid")

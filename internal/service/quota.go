@@ -19,10 +19,9 @@ type Quota struct {
 	MaxActive int `json:"max_active,omitempty"`
 	// MaxWorkers caps the shard count one job may request.
 	MaxWorkers int `json:"max_workers,omitempty"`
-	// BDDNodes / MNASolves cap the per-fault resource budgets
-	// (guard.Limits semantics).
-	BDDNodes  int   `json:"bdd_nodes,omitempty"`
-	MNASolves int64 `json:"mna_solves,omitempty"`
+	// BDDNodes caps the per-fault BDD node budget (guard.Limits
+	// semantics).
+	BDDNodes int `json:"bdd_nodes,omitempty"`
 	// RunTimeoutMs / FaultTimeoutMs cap the run and per-fault deadlines.
 	RunTimeoutMs   int64 `json:"run_timeout_ms,omitempty"`
 	FaultTimeoutMs int64 `json:"fault_timeout_ms,omitempty"`
@@ -81,7 +80,6 @@ func (q Quota) Clamp(spec JobSpec, defWorkers int) (guard.Limits, int) {
 		PerItem:    time.Duration(minPos(spec.FaultTimeoutMs, q.FaultTimeoutMs)) * time.Millisecond,
 		Run:        time.Duration(minPos(spec.RunTimeoutMs, q.RunTimeoutMs)) * time.Millisecond,
 		BDDNodes:   int(minPos(int64(spec.BDDNodes), int64(q.BDDNodes))),
-		MNASolves:  q.MNASolves,
 		MaxRetries: spec.MaxRetries,
 	}
 	workers := spec.Workers

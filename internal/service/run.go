@@ -2,17 +2,12 @@ package service
 
 import (
 	"context"
-	"fmt"
 	"strings"
 
-	"repro/internal/adc"
 	"repro/internal/atpg"
-	"repro/internal/circuits"
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/guard"
-	"repro/internal/iscas"
 	"repro/internal/logic"
 	"repro/internal/obs"
 )
@@ -37,25 +32,7 @@ func buildWorkload(spec JobSpec) (*workload, error) {
 		}
 		return &workload{circuit: c, faults: faults.Collapse(c)}, nil
 	}
-	var (
-		mx  *core.Mixed
-		err error
-	)
-	switch spec.Circuit {
-	case "bandpass":
-		mx, err = core.NewMixed(circuits.BandPass2(), circuits.BandPassOutput,
-			adc.NewFlash(2, 0, 3), iscas.Fig3(), iscas.Fig3ConstrainedLines())
-	case "chebyshev":
-		var dig *logic.Circuit
-		dig, err = iscas.Benchmark(spec.Digital)
-		if err == nil {
-			mx, err = core.NewMixed(circuits.Chebyshev5(), circuits.ChebyshevOutput,
-				adc.NewFlash(experiments.ComparatorCount, 0, float64(experiments.ComparatorCount+1)),
-				dig, experiments.BoundInputs(dig, spec.Digital))
-		}
-	default:
-		return nil, fmt.Errorf("service: unknown circuit %q", spec.Circuit)
-	}
+	mx, _, _, err := experiments.Vehicle(spec.Circuit, spec.Digital)
 	if err != nil {
 		return nil, err
 	}
