@@ -27,8 +27,9 @@
 //	msatpg -report-text -          # ... the same record, human-readable
 //	msatpg -trace-chrome trace.json  # ... its spans and events as a Chrome
 //	                                 # trace (chrome://tracing, Perfetto)
-//	msatpg -live localhost:6060    # live ops server: SSE /events, /varz,
-//	                               # /samples, /progressz, pprof with
+//	msatpg -live localhost:6060    # live ops server: SSE /events, the
+//	                               # run record so far at /report,
+//	                               # /samples, /healthz, pprof with
 //	                               # phase=/fault= labels
 //	msatpg -live :6060 -live-sample 500ms -live-linger 30s
 //
@@ -125,7 +126,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	reportOut := fs.String("report", "", "write the run record (report sections plus the obs snapshot) as JSON to this file, or - for stdout")
 	reportText := fs.String("report-text", "", "write the run record in human-readable form to this file, or - for stdout")
 	traceChrome := fs.String("trace-chrome", "", "write the run record's spans and events as a Chrome trace_event JSON file (chrome://tracing, Perfetto)")
-	fs.StringVar(&opt.live, "live", "", "serve the live ops surface (SSE /events, /varz, /samples, /progressz, labeled pprof) on this address, e.g. localhost:6060")
+	fs.StringVar(&opt.live, "live", "", "serve the live ops surface (SSE /events, /report, /samples, /healthz, labeled pprof) on this address, e.g. localhost:6060")
 	fs.DurationVar(&opt.liveSample, "live-sample", live.DefaultSampleInterval, "live server: snapshot sampler interval for /samples")
 	fs.DurationVar(&opt.liveLinger, "live-linger", 0, "live server: keep serving this long after the run completes, so a late scraper still sees the final state")
 	fs.Usage = func() {
@@ -171,7 +172,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		liveCtx, cancelLive := context.WithCancel(ctx)
 		stopLive = cancelLive
 		go func() { liveDone <- lv.Serve(liveCtx, ln) }()
-		fmt.Fprintf(stderr, "msatpg: live ops on http://%s/ (events, varz, samples, progressz, pprof)\n", ln.Addr())
+		fmt.Fprintf(stderr, "msatpg: live ops on http://%s/ (events, report, samples, healthz, pprof)\n", ln.Addr())
 	} else {
 		close(liveDone)
 	}
@@ -251,8 +252,8 @@ func writeOut(path string, render func(io.Writer) error) error {
 // once through core.CompileProgramParallel and renders it: the whole
 // program with -program, a summary otherwise. ctx is the process base
 // context (carrying the chaos injector, when one is configured); lv,
-// when non-nil, is the live ops server whose /healthz and /progressz
-// report the phase. degraded reports unclassified work of either kind.
+// when non-nil, is the live ops server whose /healthz reports the
+// phase. degraded reports unclassified work of either kind.
 func run(ctx context.Context, opt options, stdout io.Writer, lv *live.Server) (degraded bool, err error) {
 	if opt.workers < 1 {
 		return false, usageError{fmt.Errorf("-workers must be at least 1, got %d", opt.workers)}

@@ -370,7 +370,8 @@ func (l *lockedBuffer) String() string {
 
 // TestLiveServerEndToEnd runs the real flow with -live on an ephemeral
 // port and scrapes the ops surface while it is up: the announced URL
-// must serve /healthz and /progressz, and the run must still exit 0.
+// must serve /healthz, and once the phase reads done, /report must serve
+// the finished run's record. The run must still exit 0.
 func TestLiveServerEndToEnd(t *testing.T) {
 	var out lockedBuffer
 	var errw lockedBuffer
@@ -418,8 +419,28 @@ func TestLiveServerEndToEnd(t *testing.T) {
 	if health.Status != "ok" || health.Phase == "" {
 		t.Errorf("healthz = %+v, want ok with a phase", health)
 	}
-	if !bytes.Contains(get("/progressz"), []byte(`"faults"`)) {
-		t.Error("progressz does not report faults")
+	for health.Phase != "done" {
+		if time.Now().After(deadline) {
+			t.Fatalf("phase never reached done: %+v", health)
+		}
+		time.Sleep(5 * time.Millisecond)
+		if err := json.Unmarshal(get("/healthz"), &health); err != nil {
+			t.Fatalf("healthz JSON: %v", err)
+		}
+	}
+	var rec struct {
+		Faults *struct {
+			Total int64 `json:"total"`
+		} `json:"faults"`
+		Snapshot *struct {
+			Counters map[string]int64 `json:"counters"`
+		} `json:"snapshot"`
+	}
+	if err := json.Unmarshal(get("/report"), &rec); err != nil {
+		t.Fatalf("report JSON: %v", err)
+	}
+	if rec.Faults == nil || rec.Snapshot == nil || rec.Faults.Total != rec.Snapshot.Counters["atpg.faults.total"] {
+		t.Errorf("/report faults = %+v, snapshot = %+v; want the run's faults in both", rec.Faults, rec.Snapshot)
 	}
 
 	if c := <-code; c != 0 {

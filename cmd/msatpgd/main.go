@@ -20,9 +20,9 @@
 //	GET  /api/v1/jobs/{id}         job record (state, attempts, result)
 //	POST /api/v1/jobs/{id}/cancel  cancel queued or running job
 //	GET  /api/v1/jobs/{id}/events  per-job SSE stream (Last-Event-ID resume)
-//	GET  /api/v1/jobs/{id}/report  structured run report
+//	GET  /api/v1/jobs/{id}/report  the job attempt's run record
 //	GET  /api/v1/jobs/{id}/result  canonical classification (byte-comparable)
-//	/events /varz /samples /healthz /progressz /debug/pprof/*  live ops
+//	/events /report /samples /healthz /debug/pprof/*  daemon-wide live ops
 //
 // Crash safety: jobs live in a journal written via atomic write-rename
 // and per-fault progress goes to a checkpoint file per job, so a

@@ -23,11 +23,13 @@
 // distilled from it) as JSON (-report), as text (-report-text) and as a
 // Chrome trace_event file (-trace-chrome), and serves -live
 // (internal/obs/live, the live ops surface: SSE event streaming with
-// Last-Event-ID resume, a snapshot sampler serving per-interval deltas
-// and rates at /samples, /healthz and /progressz run progress, and
-// pprof endpoints whose CPU samples carry phase=, fault=, frame= and
-// element= labels threaded through the run loop). Library callers read
-// a run's metrics from the collector they pass (atpg.WithCollector).
+// Last-Event-ID resume, the run record so far at /report — the same
+// record -report writes, built as the ATPG coordinator commits each
+// fault — a snapshot sampler serving per-interval deltas and rates at
+// /samples, /healthz liveness and phase, and pprof endpoints whose CPU
+// samples carry phase=, fault=, frame= and element= labels threaded
+// through the run loop). Library callers read a run's metrics from the
+// collector they pass (atpg.WithCollector).
 // Performance is measured by perfbench, a separate module in perfbench/
 // whose workloads and metric catalog BENCHMARK.json declares: the paper's
 // workloads end to end and each engine on its own, with every run's
@@ -57,10 +59,11 @@
 // the merged trace is byte-stable for a fixed one. A worker death
 // (panic, chaos at atpg.shard, failed setup, deadline) degrades its
 // pending faults to typed aborts instead of hanging the run, and
-// shard-tagged checkpoint records re-partition on resume under any
-// -workers value. There is one engine: (*Generator).Run and one worker
-// are the one-shard case of the same coordinator, recording straight to
-// the caller's collector. core.CompileProgramParallel, the one
+// checkpoint records re-partition on resume under any -workers value.
+// The coordinator records each outcome it commits on the run's root
+// collector as it commits it, at every worker count. There is one
+// engine: (*Generator).Run and one worker are the one-shard case of the
+// same coordinator, recording straight to the caller's collector. core.CompileProgramParallel, the one
 // implementation of the paper's flow, applies the same pool to the
 // analog element×bound tests with one vehicle copy per worker, each test
 // under the guard harness, and runs the digital phase on this runtime

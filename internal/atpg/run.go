@@ -54,7 +54,6 @@ type runConfig struct {
 	ctx           context.Context
 	limits        guard.Limits
 	checkpoint    *guard.Checkpoint
-	progress      func(name, outcome string)
 
 	// Sharding knobs, honoured by RunParallel only (see shard.go).
 	workers    int
@@ -97,19 +96,6 @@ func WithLimits(l guard.Limits) RunOption {
 // re-attempts them.
 func WithCheckpoint(cp *guard.Checkpoint) RunOption {
 	return func(c *runConfig) { c.checkpoint = cp }
-}
-
-// WithProgress installs a live progress callback, invoked serially from
-// the run's coordination path once per fault whose outcome commits
-// (tested, dropped, random, an untestable reason, or "resumed" for
-// checkpoint restores). With two or more workers collector events reach
-// the root only at the final deterministic merge; the callback fires as
-// each round commits, so a caller can surface live per-fault progress
-// — the msatpgd daemon streams it over SSE and periodically persists the
-// event high-water mark it implies. Aborted and timed-out faults are not
-// reported: like the checkpoint, the callback sees only settled work.
-func WithProgress(fn func(name, outcome string)) RunOption {
-	return func(c *runConfig) { c.progress = fn }
 }
 
 // Run generates tests for every fault in fs with fault dropping: each new
@@ -183,7 +169,7 @@ func (g *Generator) solveFault(ctx context.Context, limits guard.Limits, kind so
 	faultSpan, faultCtx := g.col.StartSpanCtx(ctx, kind.span)
 	itemCtx, cancelItem := limits.WithItemContext(faultCtx)
 	pprof.Do(itemCtx, pprof.Labels("phase", kind.phase, "fault", name), func(itemCtx context.Context) {
-		att.out = guard.Run(itemCtx, g.col, name, policy, func(ctx context.Context, attempt int) error {
+		att.out = guard.Run(itemCtx, g.col, policy, func(ctx context.Context, attempt int) error {
 			if err := kind.inject(ctx, name); err != nil {
 				return err
 			}
@@ -221,7 +207,7 @@ func (g *Generator) solveFault(ctx context.Context, limits guard.Limits, kind so
 // circuit's input count — a stale or cross-circuit checkpoint — is
 // recomputed instead and counted under atpg.checkpoint.errors.
 // Aborted/timed-out faults were never recorded, so they are re-attempted.
-func restoreFromCheckpoint(cp *guard.Checkpoint, c *logic.Circuit, fs []faults.Fault, state []byte, res *Result, col *obs.Collector, progress func(name, outcome string)) {
+func restoreFromCheckpoint(cp *guard.Checkpoint, c *logic.Circuit, fs []faults.Fault, state []byte, res *Result, col *obs.Collector) {
 	if cp == nil || cp.Len() == 0 {
 		return
 	}
@@ -259,9 +245,6 @@ func restoreFromCheckpoint(cp *guard.Checkpoint, c *logic.Circuit, fs []faults.F
 		col.Counter("atpg.faults.resumed").Inc()
 		col.Event("fault", name,
 			obs.Str("outcome", "resumed"), obs.Str("was", rec.Outcome))
-		if progress != nil {
-			progress(name, "resumed")
-		}
 	}
 }
 

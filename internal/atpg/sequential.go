@@ -218,7 +218,7 @@ func RunSequentialCtx(ctx context.Context, seq *logic.SeqCircuit, fs []faults.Fa
 		}
 		att := g.solveFault(runCtx, limits, sequentialSolve, name, sites[fi])
 		if !att.out.OK() {
-			_, outcome, _ := degraded(att.out.Class)
+			_, outcome := degraded(att.out.Class)
 			if att.out.Class == guard.TimedOut {
 				res.TimedOut = append(res.TimedOut, f)
 			} else {

@@ -55,17 +55,20 @@ func WithShardSetup(fn func(*Generator) error) RunOption {
 
 // WithShardOptions forwards Generator construction options (node limit,
 // variable order, collector) to every shard RunParallel builds. A
-// WithCollector among them names the run's root collector: with two or
-// more workers each shard runs on a child lane minted from it with
-// NewChild("shardN"), and the lanes merge back into the root when the
-// run completes; a single shard records on the root directly.
+// WithCollector among them names the run's root collector, which
+// records every outcome the coordinator commits as it commits it. With
+// two or more workers each shard's own work (its spans and its guard,
+// BDD and fault-simulation counters) runs on a child lane minted from
+// the root with NewChild("shardN"), and the lanes merge back into the
+// root when the run completes; a single shard records on the root
+// directly.
 func WithShardOptions(opts ...Option) RunOption {
 	return func(c *runConfig) { c.shardOpts = opts }
 }
 
 // oneShard is the per-worker state of a run. The coordinator owns
-// pending, dead and rounds; gen, sim and the metric handles are used by
-// the shard's goroutine between barriers.
+// pending, dead and rounds; gen and sim are used by the shard's
+// goroutine between barriers.
 type oneShard struct {
 	id    int
 	track string
@@ -78,10 +81,6 @@ type oneShard struct {
 	rounds  int
 	dead    bool
 	deadOut guard.Outcome
-
-	latency  *obs.Histogram
-	detected *obs.Counter
-	dropped  *obs.Counter
 }
 
 // broadcast is one vector crossing the shard boundary: the vector and
@@ -166,9 +165,10 @@ func (sh *oneShard) randomPhase(ctx context.Context, fs []faults.Fault, n int, s
 //
 // There is one coordinator: n ≤ 1 runs it with a single shard, which is
 // exactly (*Generator).Run on a generator built from WithShardOptions
-// and WithShardSetup — the same vectors in the same order. That shard
-// records straight to the root collector, with no child lane and no
-// merge, so its events are visible while the run is in flight.
+// and WithShardSetup — the same vectors in the same order. At every
+// worker count the coordinator records each outcome on the root
+// collector as it commits it, so a live view of the root follows the
+// run while it is in flight.
 //
 // Determinism contract: for a fixed seed, the coverage, the untestable
 // classification and the per-fault detected set are identical for every
@@ -204,8 +204,11 @@ func RunParallel(c *logic.Circuit, fs []faults.Fault, opts ...RunOption) (*Resul
 // runShards is the one ATPG coordinator behind Run and RunParallel. own
 // is the caller's generator when Run drives it as the single shard, nil
 // when every shard builds its own from cfg.shardOpts and cfg.shardSetup.
-// With more than one shard each works on a child lane of root, merged
-// back at the end; a single shard records on root itself.
+// Everything the coordinator commits — fault and shard events, the fault
+// tallies, vectors and latencies — it records on root, serially and in
+// commit order. With more than one shard each shard's own work runs on a
+// child lane of root, merged back at the end; a single shard records on
+// root itself.
 func runShards(c *logic.Circuit, fs []faults.Fault, cfg runConfig, root *obs.Collector, workers int, own *Generator) *Result {
 	start := time.Now()
 	runCtx, cancelRun := cfg.limits.WithRunContext(cfg.ctx)
@@ -218,6 +221,13 @@ func runShards(c *logic.Circuit, fs []faults.Fault, cfg runConfig, root *obs.Col
 	root.Counter("atpg.faults.total").Add(int64(len(fs)))
 	cExchanged := root.Counter("atpg.shard.vectors_exchanged")
 	cShardAborts := root.Counter("atpg.shard.aborts")
+	cDetected := root.Counter("atpg.faults.detected")
+	cDropped := root.Counter("atpg.faults.dropped")
+	cUntestable := root.Counter("atpg.faults.untestable")
+	cVectors := root.Counter("atpg.vectors")
+	hLatency := root.Histogram("atpg.fault.latency_ns")
+	// cDegraded is indexed by the state degraded returns.
+	cDegraded := [5]*obs.Counter{3: root.Counter("atpg.faults.aborted"), 4: root.Counter("atpg.faults.timedout")}
 
 	res := &Result{Total: len(fs)}
 	// state: 0 = pending, 1 = detected, 2 = untestable, 3 = aborted,
@@ -232,25 +242,26 @@ func runShards(c *logic.Circuit, fs []faults.Fault, cfg runConfig, root *obs.Col
 	// The coordinator restores the checkpoint centrally, before
 	// partitioning: only still-pending faults are sharded out, so a
 	// resumed run re-partitions cleanly under any -workers value.
-	restoreFromCheckpoint(cfg.checkpoint, c, fs, state, res, root, cfg.progress)
+	restoreFromCheckpoint(cfg.checkpoint, c, fs, state, res, root)
 
 	// ckpt records one completed fault; checkpoint I/O failures are
 	// counted, not fatal — losing a checkpoint must not kill the run.
-	// Records carry the shard's lane; a single shard has none.
-	ckpt := func(sh *oneShard, key, outcome, vector string) {
-		if cfg.progress != nil {
-			cfg.progress(key, outcome)
-		}
+	ckpt := func(key, outcome, vector string) {
 		if cfg.checkpoint == nil {
 			return
 		}
-		rec := guard.Record{Key: key, Outcome: outcome, Vector: vector}
-		if workers > 1 {
-			rec.Shard = sh.track
-		}
-		if err := cfg.checkpoint.Put(rec); err != nil {
+		if err := cfg.checkpoint.Put(guard.Record{Key: key, Outcome: outcome, Vector: vector}); err != nil {
 			root.Counter("atpg.checkpoint.errors").Inc()
 		}
+	}
+	// onShard returns a fault event's attrs, plus — with two or more
+	// workers — the shard lane the fault belonged to, since the event
+	// itself is recorded on root.
+	onShard := func(sh *oneShard, attrs ...obs.Attr) []obs.Attr {
+		if workers > 1 {
+			attrs = append(attrs, obs.Str("shard", sh.track))
+		}
+		return attrs
 	}
 
 	// Mint the shard lanes serially, in shard-id order, before any
@@ -266,9 +277,6 @@ func runShards(c *logic.Circuit, fs []faults.Fault, cfg runConfig, root *obs.Col
 		if workers > 1 {
 			sh.col = root.NewChild(sh.track)
 		}
-		sh.latency = sh.col.Histogram("atpg.fault.latency_ns")
-		sh.detected = sh.col.Counter("atpg.faults.detected")
-		sh.dropped = sh.col.Counter("atpg.faults.dropped")
 		shards[i] = sh
 	}
 	shards[0].gen = own
@@ -287,7 +295,7 @@ func runShards(c *logic.Circuit, fs []faults.Fault, cfg runConfig, root *obs.Col
 		wg.Add(1)
 		go func(sh *oneShard) {
 			defer wg.Done()
-			out := guard.Do(runCtx, sh.col, sh.track+":init", func(ctx context.Context) error {
+			out := guard.Do(runCtx, sh.col, func(ctx context.Context) error {
 				if err := chaos.Step(ctx, chaos.SiteATPGShard, sh.track); err != nil {
 					return err
 				}
@@ -318,7 +326,7 @@ func runShards(c *logic.Circuit, fs []faults.Fault, cfg runConfig, root *obs.Col
 	for _, sh := range shards {
 		if sh.dead {
 			cShardAborts.Inc()
-			sh.col.Event("shard", sh.track,
+			root.Event("shard", sh.track,
 				obs.Str("outcome", "dead"), obs.Str("reason", sh.deadOut.Reason))
 		}
 	}
@@ -331,7 +339,8 @@ func runShards(c *logic.Circuit, fs []faults.Fault, cfg runConfig, root *obs.Col
 	// is credited to the first vector in batch order, so the outcome is a
 	// pure function of the inputs, independent of goroutine scheduling.
 	// Faults in targets get their own "tested" event from the caller and
-	// are only marked here. Returns per-vector hit counts.
+	// are only marked here; every other detection is a drop, or a random
+	// hit when markRandom. Returns per-vector hit counts.
 	coordSim := faults.NewSimulator(c)
 	coordSim.Instrument(root)
 	applyBatch := func(batch []broadcast, targets map[int]bool, markRandom bool) []int {
@@ -390,17 +399,19 @@ func runShards(c *logic.Circuit, fs []faults.Fault, cfg runConfig, root *obs.Col
 				state[i] = 1
 				res.Detected++
 				hits[b]++
-				sh.detected.Inc()
-				sh.dropped.Inc()
+				cDetected.Inc()
+				if targets[i] {
+					continue
+				}
 				if markRandom {
 					res.RandomHits++
+				} else {
+					cDropped.Inc()
 				}
-				if !targets[i] {
-					name := fs[i].Name(c)
-					sh.col.Event("fault", name,
-						obs.Str("outcome", outcome), obs.Str("by", batch[b].origin))
-					ckpt(sh, name, outcome, "")
-				}
+				name := fs[i].Name(c)
+				root.Event("fault", name,
+					obs.Str("outcome", outcome), obs.Str("by", batch[b].origin))
+				ckpt(name, outcome, "")
 			}
 		}
 		return hits
@@ -430,14 +441,12 @@ func runShards(c *logic.Circuit, fs []faults.Fault, cfg runConfig, root *obs.Col
 		}
 		wg.Wait()
 		var batch []broadcast
-		var owners []*oneShard
 		for _, sh := range shards {
 			for k, v := range kept[sh.id] {
 				batch = append(batch, broadcast{
 					v:      v,
 					origin: fmt.Sprintf("%s/random[%d]", sh.track, k),
 				})
-				owners = append(owners, sh)
 			}
 		}
 		hits := applyBatch(batch, nil, true)
@@ -446,7 +455,7 @@ func runShards(c *logic.Circuit, fs []faults.Fault, cfg runConfig, root *obs.Col
 			// vector in the batch detects nothing new and is discarded.
 			if hits[b] > 0 {
 				res.Vectors = append(res.Vectors, e.v)
-				owners[b].col.Counter("atpg.vectors").Inc()
+				cVectors.Inc()
 				cExchanged.Inc()
 			}
 		}
@@ -494,7 +503,7 @@ func runShards(c *logic.Circuit, fs []faults.Fault, cfg runConfig, root *obs.Col
 			sh.rounds++
 			go func(sh *oneShard, round int) {
 				var recs []solveRec
-				out := guard.Do(detCtx, sh.col, sh.track, func(ctx context.Context) error {
+				out := guard.Do(detCtx, sh.col, func(ctx context.Context) error {
 					if err := chaos.Step(ctx, chaos.SiteATPGShard, fmt.Sprintf("%s#%d", sh.track, round)); err != nil {
 						return err
 					}
@@ -542,7 +551,7 @@ func runShards(c *logic.Circuit, fs []faults.Fault, cfg runConfig, root *obs.Col
 				sh.dead = true
 				sh.deadOut = r.out
 				cShardAborts.Inc()
-				sh.col.Event("shard", sh.track,
+				root.Event("shard", sh.track,
 					obs.Str("outcome", "dead"), obs.Str("reason", r.out.Reason))
 				continue
 			}
@@ -551,13 +560,13 @@ func runShards(c *logic.Circuit, fs []faults.Fault, cfg runConfig, root *obs.Col
 				name := fs[i].Name(c)
 				att := rec.att
 				res.Retries += att.out.Retries()
-				sh.latency.Observe(att.latency.Nanoseconds())
+				hLatency.Observe(att.latency.Nanoseconds())
 				if !att.out.OK() {
-					st, outcome, counter := degraded(att.out.Class)
+					st, outcome := degraded(att.out.Class)
 					state[i], classByFault[i] = st, st
-					sh.col.Counter(counter).Inc()
-					sh.col.EventSince("fault", name, att.start,
-						obs.Str("outcome", outcome), obs.Str("reason", att.out.Reason))
+					cDegraded[st].Inc()
+					root.EventSince("fault", name, att.start, onShard(sh,
+						obs.Str("outcome", outcome), obs.Str("reason", att.out.Reason))...)
 					continue
 				}
 				if !att.ok {
@@ -565,11 +574,11 @@ func runShards(c *logic.Circuit, fs []faults.Fault, cfg runConfig, root *obs.Col
 					// here because every worker is parked at the barrier.
 					reason := sh.gen.untestableReason(fs[i])
 					state[i], classByFault[i] = 2, 2
-					sh.col.Counter("atpg.faults.untestable").Inc()
-					sh.col.EventSince("fault", name, att.start,
+					cUntestable.Inc()
+					root.EventSince("fault", name, att.start, onShard(sh,
 						obs.Str("outcome", reason),
-						obs.Int("product_nodes", int64(att.nodes)))
-					ckpt(sh, name, reason, "")
+						obs.Int("product_nodes", int64(att.nodes)))...)
+					ckpt(name, reason, "")
 					continue
 				}
 				if !sh.sim.DetectsFault(att.v, fs[i]) {
@@ -579,12 +588,12 @@ func runShards(c *logic.Circuit, fs []faults.Fault, cfg runConfig, root *obs.Col
 					panic("atpg: generated vector does not detect its target fault")
 				}
 				vecByFault[i] = att.v
-				sh.col.Counter("atpg.vectors").Inc()
-				sh.col.EventSince("fault", name, att.start,
+				cVectors.Inc()
+				root.EventSince("fault", name, att.start, onShard(sh,
 					obs.Str("outcome", "tested"),
 					obs.Int("product_nodes", int64(att.nodes)),
-					obs.Str("vector", att.v.String()))
-				ckpt(sh, name, "tested", att.v.String())
+					obs.Str("vector", att.v.String()))...)
+				ckpt(name, "tested", att.v.String())
 				cExchanged.Inc()
 				batch = append(batch, broadcast{v: att.v, origin: name})
 				targets[i] = true
@@ -603,15 +612,15 @@ func runShards(c *logic.Circuit, fs []faults.Fault, cfg runConfig, root *obs.Col
 			if state[i] != 0 {
 				continue
 			}
-			st, outcome, counter := degraded(sh.deadOut.Class)
+			st, outcome := degraded(sh.deadOut.Class)
 			reason := sh.deadOut.Reason
 			if st == 3 {
 				reason = "shard-dead:" + reason
 			}
 			state[i], classByFault[i] = st, st
-			sh.col.Counter(counter).Inc()
-			sh.col.Event("fault", fs[i].Name(c),
-				obs.Str("outcome", outcome), obs.Str("reason", reason))
+			cDegraded[st].Inc()
+			root.Event("fault", fs[i].Name(c), onShard(sh,
+				obs.Str("outcome", outcome), obs.Str("reason", reason))...)
 		}
 	}
 	detSpan.End()
@@ -644,7 +653,7 @@ func runShards(c *logic.Circuit, fs []faults.Fault, cfg runConfig, root *obs.Col
 			}
 		}
 	}
-	// Fold the shard lanes back into the root: deterministic by
+	// Fold the shard lanes' own work back into the root: deterministic by
 	// construction (sorted by track/lane, ids lane-major), so the merged
 	// causal trace is byte-stable for a fixed worker count.
 	if workers > 1 {
@@ -660,10 +669,10 @@ func runShards(c *logic.Circuit, fs []faults.Fault, cfg runConfig, root *obs.Col
 }
 
 // degraded maps a failed guard outcome to the fault state it leaves
-// (3 = aborted, 4 = timed out), its event outcome and its counter.
-func degraded(cl guard.Class) (state byte, outcome, counter string) {
+// (3 = aborted, 4 = timed out) and its event outcome.
+func degraded(cl guard.Class) (state byte, outcome string) {
 	if cl == guard.TimedOut {
-		return 4, "timed-out", "atpg.faults.timedout"
+		return 4, "timed-out"
 	}
-	return 3, "aborted", "atpg.faults.aborted"
+	return 3, "aborted"
 }

@@ -189,12 +189,12 @@ func TestRunParallelShardChaosAbortsPending(t *testing.T) {
 	}
 }
 
-// TestRunParallelCheckpointResumeRepartition is the shard-tagged resume
+// TestRunParallelCheckpointResumeRepartition is the re-partitioning resume
 // test: a parallel run at workers=3 is killed mid-flight by chaos
 // panics at the shard boundary, then resumed from its checkpoint at
 // workers=5. The resumed run must land on exactly the reference
-// coverage and untestable classification, restore rather than recompute
-// every checkpointed fault, and carry shard tags in the records.
+// coverage and untestable classification, and restore rather than
+// recompute every checkpointed fault.
 func TestRunParallelCheckpointResumeRepartition(t *testing.T) {
 	c := iscas.MustBenchmark("c432")
 	fs := faults.Collapse(c)
@@ -229,7 +229,6 @@ func TestRunParallelCheckpointResumeRepartition(t *testing.T) {
 		t.Fatal("chaos run completed nothing; there is nothing to resume")
 	}
 
-	// The surviving records must carry their shard tag.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("reading checkpoint: %v", err)
@@ -243,9 +242,6 @@ func TestRunParallelCheckpointResumeRepartition(t *testing.T) {
 	}
 	restored := map[string]bool{}
 	for _, r := range file.Records {
-		if r.Shard == "" {
-			t.Errorf("record %q has no shard tag", r.Key)
-		}
 		restored[r.Key] = true
 	}
 

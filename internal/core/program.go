@@ -221,7 +221,7 @@ func (p *TestProgram) testElements(ctx context.Context, workers int, factory Mix
 			defer wg.Done()
 			for j := range jobCh {
 				itemCtx, cancelItem := limits.WithItemContext(ctx)
-				outs[j] = guard.Do(itemCtx, obs.Default, "element:"+jobs[j].elem, func(ctx context.Context) error {
+				outs[j] = guard.Do(itemCtx, obs.Default, func(ctx context.Context) error {
 					var err error
 					verdicts[j], err = v.mx.TestAnalogElementCtx(ctx, v.prop, v.matrix, jobs[j].elem, jobs[j].bound)
 					return err

@@ -98,7 +98,7 @@ func TestGuardIntegration(t *testing.T) {
 	}
 	for _, c := range cases {
 		ctx := Into(context.Background(), New(5, 1, WithAction(c.action)))
-		out := guard.Do(ctx, nil, "item", func(ctx context.Context) error {
+		out := guard.Do(ctx, nil, func(ctx context.Context) error {
 			return Step(ctx, "site", "key")
 		})
 		if out.Class != c.class {

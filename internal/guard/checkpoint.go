@@ -47,12 +47,6 @@ type Record struct {
 	Outcome string `json:"outcome"` // "tested", "dropped", "random", an untestability reason, ...
 	Reason  string `json:"reason,omitempty"`
 	Vector  string `json:"vector,omitempty"`
-	// Shard tags the worker lane that completed the record in a sharded
-	// parallel run ("shard3"); empty for sequential runs. Informational
-	// only: a resumed run re-partitions the remaining fault list for
-	// whatever worker count it runs with, so records restore regardless
-	// of which shard computed them.
-	Shard string `json:"shard,omitempty"`
 }
 
 // CheckpointFile is the on-disk JSON checkpoint document.

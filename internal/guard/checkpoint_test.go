@@ -115,40 +115,47 @@ func TestDecodeCheckpointRejects(t *testing.T) {
 	}
 }
 
-func TestCheckpointShardTagRoundTrip(t *testing.T) {
+// TestCheckpointLegacyShardTagDecodes opens a file written when records
+// named the shard lane that completed them: the "shard" keys are
+// ignored, every record restores, and the next flush drops them.
+func TestCheckpointLegacyShardTagDecodes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.json")
+	legacy := `{"version":1,"scope":"shard-scope","records":[` +
+		`{"key":"f1","outcome":"tested","vector":"010","shard":"shard2"},` +
+		`{"key":"f2","outcome":"dropped","shard":"shard0"},` +
+		`{"key":"f3","outcome":"no-difference"}]}`
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cp, err := OpenCheckpoint(path, "shard-scope")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.Put(Record{Key: "f1", Outcome: "tested", Vector: "010", Shard: "shard2"}); err != nil {
-		t.Fatal(err)
+	want := []Record{
+		{Key: "f1", Outcome: "tested", Vector: "010"},
+		{Key: "f2", Outcome: "dropped"},
+		{Key: "f3", Outcome: "no-difference"},
 	}
-	if err := cp.Put(Record{Key: "f2", Outcome: "dropped"}); err != nil {
+	if cp.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", cp.Len(), len(want))
+	}
+	for _, w := range want {
+		if r, ok := cp.Lookup(w.Key); !ok || r != w {
+			t.Fatalf("Lookup(%s) = %+v, %v; want %+v", w.Key, r, ok, w)
+		}
+	}
+	if err := cp.Put(Record{Key: "f4", Outcome: "dropped"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cp.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenCheckpoint(path, "shard-scope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, ok := re.Lookup("f1")
-	if !ok || r.Shard != "shard2" {
-		t.Fatalf("Lookup(f1) = %+v, %v; want Shard %q", r, ok, "shard2")
-	}
-	// A record without a shard tag (sequential run) stays untagged, and
-	// the field is omitted from the file entirely.
-	if r, ok := re.Lookup("f2"); !ok || r.Shard != "" {
-		t.Fatalf("Lookup(f2) = %+v, %v; want empty Shard", r, ok)
-	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := strings.Count(string(data), `"shard"`); n != 1 {
-		t.Fatalf("file has %d shard fields, want 1 (omitempty):\n%s", n, data)
+	if strings.Contains(string(data), `"shard"`) {
+		t.Fatalf("rewritten file still carries shard keys:\n%s", data)
 	}
 }
 
@@ -164,7 +171,7 @@ func TestCheckpointTruncatedFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range []Record{
-		{Key: "l1 s-a-0", Outcome: "tested", Vector: "0101", Shard: "shard1"},
+		{Key: "l1 s-a-0", Outcome: "tested", Vector: "0101"},
 		{Key: "l2 s-a-1", Outcome: "dropped"},
 	} {
 		if err := cp.Put(r); err != nil {

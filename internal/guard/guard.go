@@ -194,15 +194,16 @@ func Classify(ctx context.Context, err error) Outcome {
 // and a context that is already dead short-circuits without running fn.
 // Degradations are counted on col (nil-safe): guard.items,
 // guard.aborted, guard.timedout, guard.canceled, guard.panics.
-func Do(ctx context.Context, col *obs.Collector, name string, fn func(context.Context) error) (out Outcome) {
+func Do(ctx context.Context, col *obs.Collector, fn func(context.Context) error) (out Outcome) {
 	col.Counter("guard.items").Inc()
 	defer func() {
 		if r := recover(); r != nil {
+			stack := debug.Stack()
 			out = Outcome{
 				Class:    Aborted,
 				Reason:   "panic",
-				Err:      &PanicError{Value: r, Stack: debug.Stack()},
-				Stack:    debug.Stack(),
+				Err:      &PanicError{Value: r, Stack: stack},
+				Stack:    stack,
 				Attempts: 1,
 			}
 			col.Counter("guard.panics").Inc()
@@ -246,11 +247,11 @@ type RetryPolicy struct {
 // variable order, pivoting fallback), unless ctx is already done. The
 // returned outcome is the last attempt's, with Attempts set to the
 // total number of tries. Retries are counted on col as guard.retries.
-func Run(ctx context.Context, col *obs.Collector, name string, p RetryPolicy, fn func(ctx context.Context, attempt int) error) Outcome {
+func Run(ctx context.Context, col *obs.Collector, p RetryPolicy, fn func(ctx context.Context, attempt int) error) Outcome {
 	var out Outcome
 	for attempt := 0; ; attempt++ {
 		a := attempt
-		out = Do(ctx, col, name, func(ctx context.Context) error { return fn(ctx, a) })
+		out = Do(ctx, col, func(ctx context.Context) error { return fn(ctx, a) })
 		out.Attempts = attempt + 1
 		if out.OK() || attempt >= p.MaxRetries || out.Class != Aborted {
 			return out

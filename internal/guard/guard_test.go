@@ -1,6 +1,7 @@
 package guard
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -12,7 +13,7 @@ import (
 
 func TestDoOK(t *testing.T) {
 	col := obs.NewCollector()
-	out := Do(context.Background(), col, "item", func(ctx context.Context) error { return nil })
+	out := Do(context.Background(), col, func(ctx context.Context) error { return nil })
 	if !out.OK() || out.Class != OK || out.Attempts != 1 {
 		t.Fatalf("Do = %+v, want OK", out)
 	}
@@ -23,7 +24,7 @@ func TestDoOK(t *testing.T) {
 
 func TestDoRecoversPanic(t *testing.T) {
 	col := obs.NewCollector()
-	out := Do(context.Background(), col, "item", func(ctx context.Context) error {
+	out := Do(context.Background(), col, func(ctx context.Context) error {
 		panic("boom")
 	})
 	if out.Class != Aborted || out.Reason != "panic" {
@@ -36,6 +37,10 @@ func TestDoRecoversPanic(t *testing.T) {
 	if len(out.Stack) == 0 {
 		t.Fatal("panic outcome carries no stack")
 	}
+	// The stack is captured once: the outcome and its error share it.
+	if !bytes.Equal(out.Stack, pe.Stack) {
+		t.Fatalf("Outcome.Stack and PanicError.Stack differ:\n%s\n---\n%s", out.Stack, pe.Stack)
+	}
 	if got := col.Counter("guard.panics").Load(); got != 1 {
 		t.Fatalf("guard.panics = %d, want 1", got)
 	}
@@ -45,7 +50,7 @@ func TestDoRecoversPanic(t *testing.T) {
 }
 
 func TestDoClassifiesBudget(t *testing.T) {
-	out := Do(context.Background(), nil, "item", func(ctx context.Context) error {
+	out := Do(context.Background(), nil, func(ctx context.Context) error {
 		return fmt.Errorf("solving: %w", &BudgetError{Resource: "bdd-nodes", Limit: 100})
 	})
 	if out.Class != Aborted || out.Reason != "budget:bdd-nodes" {
@@ -61,7 +66,7 @@ func TestDoClassifiesDeadline(t *testing.T) {
 	defer cancel()
 	<-ctx.Done()
 	ran := false
-	out := Do(ctx, nil, "item", func(ctx context.Context) error { ran = true; return nil })
+	out := Do(ctx, nil, func(ctx context.Context) error { ran = true; return nil })
 	if ran {
 		t.Fatal("Do ran fn under a dead context")
 	}
@@ -73,7 +78,7 @@ func TestDoClassifiesDeadline(t *testing.T) {
 func TestDoClassifiesCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out := Do(ctx, nil, "item", func(ctx context.Context) error { return nil })
+	out := Do(ctx, nil, func(ctx context.Context) error { return nil })
 	if out.Class != Canceled {
 		t.Fatalf("Do = %+v, want Canceled", out)
 	}
@@ -91,7 +96,7 @@ func TestClassifyDeadlineError(t *testing.T) {
 func TestRunRetriesAborts(t *testing.T) {
 	col := obs.NewCollector()
 	tries := 0
-	out := Run(context.Background(), col, "item",
+	out := Run(context.Background(), col,
 		RetryPolicy{MaxRetries: 3},
 		func(ctx context.Context, attempt int) error {
 			tries++
@@ -113,7 +118,7 @@ func TestRunRetriesAborts(t *testing.T) {
 
 func TestRunDoesNotRetryTimeout(t *testing.T) {
 	tries := 0
-	out := Run(context.Background(), nil, "item",
+	out := Run(context.Background(), nil,
 		RetryPolicy{MaxRetries: 5},
 		func(ctx context.Context, attempt int) error {
 			tries++
@@ -126,7 +131,7 @@ func TestRunDoesNotRetryTimeout(t *testing.T) {
 
 func TestRunBoundedRetries(t *testing.T) {
 	tries := 0
-	out := Run(context.Background(), nil, "item",
+	out := Run(context.Background(), nil,
 		RetryPolicy{MaxRetries: 2},
 		func(ctx context.Context, attempt int) error {
 			tries++

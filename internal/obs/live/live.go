@@ -7,12 +7,13 @@
 //	/events     SSE stream of the structured event log (one frame per
 //	            work item), resumable via Last-Event-ID, with in-band
 //	            drop notification when a client falls behind the ring
-//	/varz       the collector's full JSON snapshot
+//	/report     the run record so far (report.Report): the fault,
+//	            element, comparator, critical-path and service sections
+//	            beside the collector's full snapshot — the record
+//	            msatpg -report writes at the end of a run
 //	/samples    the background sampler's ring of per-interval snapshot
 //	            deltas with per-second rates — rates without two scrapes
 //	/healthz    liveness: status, phase, uptime
-//	/progressz  run progress: phase, faults done/total, abort, retry and
-//	            recovered-panic counts from the guard layer
 //	/debug/pprof/*  runtime profiles; CPU samples carry the phase=/
 //	            fault=/frame=/element= labels threaded through the run
 //	            loop, so `go tool pprof -tags` attributes time to
@@ -50,7 +51,7 @@ type Server struct {
 	start   time.Time
 	poll    time.Duration
 	mux     *http.ServeMux
-	phase   atomic.Value // string: current run phase for /healthz, /progressz
+	phase   atomic.Value // string: current run phase for /healthz
 	clients atomic.Int64 // active SSE clients, mirrored to live.sse.clients
 }
 
@@ -101,10 +102,9 @@ func NewServer(col *obs.Collector, opts ...Option) *Server {
 
 	s.mux.HandleFunc("/", s.handleIndex)
 	s.mux.HandleFunc("/events", s.handleEvents)
-	s.mux.HandleFunc("/varz", s.handleVarz)
+	s.mux.HandleFunc("/report", s.handleReport)
 	s.mux.HandleFunc("/samples", s.handleSamples)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/progressz", s.handleProgressz)
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -120,7 +120,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // manually via Tick in tests).
 func (s *Server) Sampler() *Sampler { return s.sampler }
 
-// SetPhase records the run phase reported by /healthz and /progressz.
+// SetPhase records the run phase reported by /healthz.
 // Safe on a nil server, so the pipeline can thread an optional server.
 func (s *Server) SetPhase(phase string) {
 	if s == nil {
@@ -178,10 +178,9 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "msatpg live ops — phase %s, up %v\n\n", s.Phase(), time.Since(s.start).Round(time.Millisecond))
 	fmt.Fprint(w, ""+
 		"/events     SSE event stream (resume with Last-Event-ID)\n"+
-		"/varz       full obs snapshot\n"+
+		"/report     run record so far, with the full obs snapshot\n"+
 		"/samples    sampler ring: per-interval deltas + rates\n"+
-		"/healthz    liveness\n"+
-		"/progressz  run progress\n"+
+		"/healthz    liveness: status, phase, uptime\n"+
 		"/debug/pprof/  profiles (CPU samples carry phase=/fault= labels)\n")
 }
 
@@ -194,12 +193,11 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = enc.Encode(v)
 }
 
-// handleVarz serves the collector's full snapshot, with the runtime
-// telemetry gauges refreshed at scrape time.
-func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
+// handleReport serves the run record built from the collector's
+// snapshot, with the runtime telemetry gauges refreshed at scrape time.
+func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	obs.CaptureRuntime(s.col)
-	w.Header().Set("Content-Type", "application/json")
-	_ = s.col.Snapshot().WriteJSON(w)
+	writeJSON(w, report.Build(s.col.Snapshot()))
 }
 
 // samplesPayload is the /samples document.
@@ -231,68 +229,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Phase:    s.Phase(),
 		UptimeNs: time.Since(s.start).Nanoseconds(),
 	})
-}
-
-// progresszPayload is the /progressz document: the run's position and
-// the guard layer's degradation tallies, derived from the collector.
-type progresszPayload struct {
-	Phase    string `json:"phase"`
-	UptimeNs int64  `json:"uptime_ns"`
-	Faults   struct {
-		Total      int64 `json:"total"`
-		Done       int64 `json:"done"`
-		Detected   int64 `json:"detected"`
-		Untestable int64 `json:"untestable"`
-		Aborted    int64 `json:"aborted"`
-		TimedOut   int64 `json:"timed_out"`
-		Resumed    int64 `json:"resumed"`
-	} `json:"faults"`
-	Guard struct {
-		Items    int64 `json:"items"`
-		Retries  int64 `json:"retries"`
-		Panics   int64 `json:"panics"`
-		Aborted  int64 `json:"aborted"`
-		TimedOut int64 `json:"timed_out"`
-		Canceled int64 `json:"canceled"`
-	} `json:"guard"`
-	Events struct {
-		Seq     int64 `json:"seq"`
-		Dropped int64 `json:"dropped"`
-		Clients int64 `json:"sse_clients"`
-	} `json:"events"`
-	// Critical is the causal span analysis so far: critical path length,
-	// per-track (worker lane) utilization and top self-time spans.
-	// Omitted until the collector has recorded spans.
-	Critical *report.CriticalSection `json:"critical,omitempty"`
-	// Service is the msatpgd job daemon's lifecycle tallies; omitted for
-	// plain pipeline runs.
-	Service *report.ServiceSection `json:"service,omitempty"`
-}
-
-func (s *Server) handleProgressz(w http.ResponseWriter, r *http.Request) {
-	snap := s.col.Snapshot()
-	c := snap.Counters
-	var p progresszPayload
-	p.Phase = s.Phase()
-	p.UptimeNs = time.Since(s.start).Nanoseconds()
-	p.Faults.Total = c["atpg.faults.total"]
-	p.Faults.Detected = c["atpg.faults.detected"]
-	p.Faults.Untestable = c["atpg.faults.untestable"]
-	p.Faults.Aborted = c["atpg.faults.aborted"]
-	p.Faults.TimedOut = c["atpg.faults.timedout"]
-	p.Faults.Resumed = c["atpg.faults.resumed"]
-	p.Faults.Done = p.Faults.Detected + p.Faults.Untestable +
-		p.Faults.Aborted + p.Faults.TimedOut + p.Faults.Resumed
-	p.Guard.Items = c["guard.items"]
-	p.Guard.Retries = c["guard.retries"]
-	p.Guard.Panics = c["guard.panics"]
-	p.Guard.Aborted = c["guard.aborted"]
-	p.Guard.TimedOut = c["guard.timedout"]
-	p.Guard.Canceled = c["guard.canceled"]
-	p.Events.Seq = s.col.EventSeq()
-	p.Events.Dropped = c["live.sse.dropped"]
-	p.Events.Clients = s.clients.Load()
-	p.Critical = report.Critical(snap)
-	p.Service = report.BuildService(snap)
-	writeJSON(w, p)
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/report"
 )
 
 func getJSON(t *testing.T, url string, v any) {
@@ -31,15 +32,18 @@ func getJSON(t *testing.T, url string, v any) {
 	}
 }
 
-func TestHealthzAndProgressz(t *testing.T) {
+// TestHealthzAndReport reads the run's phase and uptime from /healthz
+// and its record from /report: the same report.Report msatpg -report
+// writes, with the fault section distilled from the events and the
+// guard tallies and event count in its snapshot.
+func TestHealthzAndReport(t *testing.T) {
 	col := obs.NewCollector()
-	col.Counter("atpg.faults.total").Add(20)
-	col.Counter("atpg.faults.detected").Add(12)
-	col.Counter("atpg.faults.untestable").Add(3)
-	col.Counter("atpg.faults.aborted").Add(1)
+	col.Counter("atpg.faults.total").Add(3)
 	col.Counter("guard.items").Add(16)
 	col.Counter("guard.retries").Add(2)
-	col.Event("fault", "f0")
+	col.Event("fault", "f0", obs.Str("outcome", "tested"))
+	col.Event("fault", "f1", obs.Str("outcome", "dropped"))
+	col.Event("fault", "f2", obs.Str("outcome", "no-difference"))
 
 	s := NewServer(col)
 	s.SetPhase("digital")
@@ -52,36 +56,34 @@ func TestHealthzAndProgressz(t *testing.T) {
 		t.Errorf("healthz = %+v, want ok/digital/positive uptime", h)
 	}
 
-	var p progresszPayload
-	getJSON(t, ts.URL+"/progressz", &p)
-	if p.Faults.Total != 20 || p.Faults.Detected != 12 {
-		t.Errorf("progressz faults = %+v, want total 20 detected 12", p.Faults)
+	var rep report.Report
+	getJSON(t, ts.URL+"/report", &rep)
+	if rep.Snapshot == nil {
+		t.Fatal("/report carries no snapshot")
 	}
-	if p.Faults.Done != 16 { // 12 detected + 3 untestable + 1 aborted
-		t.Errorf("faults done = %d, want 16", p.Faults.Done)
+	if f := rep.Faults; f == nil || f.Total != 3 || f.Tested != 1 || f.Dropped != 1 || f.Untestable != 1 {
+		t.Errorf("/report faults = %+v, want 3 total: 1 tested, 1 dropped, 1 untestable", f)
 	}
-	if p.Guard.Items != 16 || p.Guard.Retries != 2 {
-		t.Errorf("progressz guard = %+v, want items 16 retries 2", p.Guard)
+	c := rep.Snapshot.Counters
+	if c["guard.items"] != 16 || c["guard.retries"] != 2 {
+		t.Errorf("/report guard counters = %v, want items 16 retries 2", c)
 	}
-	if p.Events.Seq != 1 {
-		t.Errorf("events seq = %d, want 1", p.Events.Seq)
+	if seq := int64(len(rep.Snapshot.Events)) + rep.Snapshot.EventsDropped; seq != col.EventSeq() {
+		t.Errorf("events + events_dropped = %d, want the event sequence %d", seq, col.EventSeq())
+	}
+	// The runtime gauges are refreshed at scrape time.
+	if rep.Snapshot.Gauges["runtime.goroutines"] == 0 {
+		t.Errorf("/report gauges = %v, want runtime.goroutines", rep.Snapshot.Gauges)
 	}
 }
 
-func TestVarzAndSamples(t *testing.T) {
+func TestSamples(t *testing.T) {
 	col := obs.NewCollector()
 	col.Counter("atpg.vectors").Add(7)
 	s := NewServer(col, WithSampleInterval(time.Minute))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	var snap struct {
-		Counters map[string]int64 `json:"counters"`
-	}
-	getJSON(t, ts.URL+"/varz", &snap)
-	if snap.Counters["atpg.vectors"] != 7 {
-		t.Errorf("varz atpg.vectors = %d, want 7", snap.Counters["atpg.vectors"])
-	}
 	// Drive the sampler by hand and read the ring back over HTTP.
 	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	s.Sampler().Tick(now)
@@ -108,14 +110,14 @@ func TestIndexListsEndpointsAnd404s(t *testing.T) {
 	}
 	body, _ := readAll(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{"/events", "/varz", "/samples", "/healthz", "/progressz", "/debug/pprof/"} {
+	for _, want := range []string{"/events", "/report", "/samples", "/healthz", "/debug/pprof/"} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("index does not mention %s", want)
 		}
 	}
 
-	// /varz is the only route to the snapshot.
-	for _, path := range []string{"/no-such-endpoint", "/snapshot", "/debug/vars"} {
+	// /report is the only route to the snapshot.
+	for _, path := range []string{"/no-such-endpoint", "/snapshot", "/debug/vars", "/varz", "/progressz"} {
 		resp, err = http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)

@@ -32,8 +32,8 @@ const DefaultSampleCapacity = 300
 // Sampler periodically snapshots a collector's metrics and keeps the
 // per-interval deltas (Snapshot.Sub) in a bounded ring, so per-second
 // rates and a short time series are available from a single scrape
-// (/samples) instead of requiring the client to diff two /varz reads
-// itself.
+// (/samples) instead of requiring the client to diff two /report
+// reads itself.
 //
 // The clock is injectable for tests: Tick(now) performs one capture and
 // derives the window length from the previous tick's now, so a fake
@@ -82,7 +82,7 @@ func (s *Sampler) Tick(now time.Time) {
 	// runtime.* gauge levels alongside the pipeline's counters.
 	obs.CaptureRuntime(s.col)
 	// Samples carry the aggregate movement only; the event/span tails
-	// are served by /events and /varz, and copying them each tick would
+	// are served by /events and /report, and copying them each tick would
 	// cost in proportion to the logs.
 	snap := s.col.Metrics()
 

@@ -29,7 +29,7 @@ var runtimeSamples = []struct {
 
 // CaptureRuntime samples the Go runtime's own telemetry (runtime/metrics)
 // into c's gauges, so GC pressure, heap growth and scheduler latency sit
-// in the same snapshot — and the same /varz and /samples documents — as
+// in the same snapshot — and the same /report and /samples documents — as
 // the pipeline's counters. Histogram-kind metrics (GC pauses, scheduler
 // latencies) are reduced to their p99 in nanoseconds; the distributions
 // are cumulative since process start. Metrics this Go version does not

@@ -60,11 +60,10 @@ type CriticalSection struct {
 	Blocking []BlockingSpan `json:"blocking,omitempty"`
 }
 
-// Critical runs the causal analysis over a snapshot's span log. Build
-// calls it for the report's critical section, and the live /progressz
-// endpoint calls it on its own to publish track utilization mid-run.
+// critical runs the causal analysis over a snapshot's span log for the
+// report's critical section; a live server's /report runs it mid-run.
 // Returns nil when there are no spans to analyse.
-func Critical(s *obs.Snapshot) *CriticalSection {
+func critical(s *obs.Snapshot) *CriticalSection {
 	if len(s.Spans) == 0 {
 		return nil
 	}

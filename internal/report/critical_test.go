@@ -38,9 +38,9 @@ func causalSnapshot() *obs.Snapshot {
 }
 
 func TestBuildCriticalPath(t *testing.T) {
-	c := Critical(causalSnapshot())
+	c := critical(causalSnapshot())
 	if c == nil {
-		t.Fatal("Critical returned nil for a populated snapshot")
+		t.Fatal("critical returned nil for a populated snapshot")
 	}
 	if c.WallNs != 1000 {
 		t.Errorf("WallNs = %d, want 1000", c.WallNs)
@@ -64,7 +64,7 @@ func TestBuildCriticalPath(t *testing.T) {
 }
 
 func TestBuildCriticalUtilization(t *testing.T) {
-	c := Critical(causalSnapshot())
+	c := critical(causalSnapshot())
 	util := map[string]TrackUtilization{}
 	for _, u := range c.Tracks {
 		util[u.Track] = u
@@ -88,7 +88,7 @@ func TestBuildCriticalUtilization(t *testing.T) {
 }
 
 func TestBuildCriticalBlocking(t *testing.T) {
-	c := Critical(causalSnapshot())
+	c := critical(causalSnapshot())
 	self := map[string]BlockingSpan{}
 	for _, b := range c.Blocking {
 		self[b.Name] = b
@@ -119,7 +119,7 @@ func TestBuildCriticalOrphanAndLegacySpans(t *testing.T) {
 			span("orphan", "w1", 1, 5, int64(9)<<32|7, 10, 500),
 		},
 	}
-	c := Critical(s)
+	c := critical(s)
 	if c == nil || len(c.Path) == 0 {
 		t.Fatal("no critical path for orphan snapshot")
 	}
@@ -129,8 +129,8 @@ func TestBuildCriticalOrphanAndLegacySpans(t *testing.T) {
 }
 
 func TestBuildCriticalEmpty(t *testing.T) {
-	if c := Critical(&obs.Snapshot{}); c != nil {
-		t.Errorf("Critical on empty snapshot = %+v, want nil", c)
+	if c := critical(&obs.Snapshot{}); c != nil {
+		t.Errorf("critical on empty snapshot = %+v, want nil", c)
 	}
 }
 

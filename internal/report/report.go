@@ -117,8 +117,8 @@ func Build(s *obs.Snapshot) *Report {
 		Faults:      buildFaults(s),
 		Elements:    buildElements(s),
 		Comparators: buildComparators(s),
-		Critical:    Critical(s),
-		Service:     BuildService(s),
+		Critical:    critical(s),
+		Service:     buildService(s),
 		Snapshot:    s,
 	}
 }

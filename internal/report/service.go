@@ -28,9 +28,9 @@ type ServiceSection struct {
 	CheckpointCorrupt int64 `json:"checkpoint_corrupt,omitempty"`
 }
 
-// BuildService distils the daemon's service.* metrics from a snapshot,
+// buildService distils the daemon's service.* metrics from a snapshot,
 // or nil when the snapshot carries none (a plain pipeline run).
-func BuildService(s *obs.Snapshot) *ServiceSection {
+func buildService(s *obs.Snapshot) *ServiceSection {
 	c := s.Counters
 	sec := &ServiceSection{
 		Submitted:         c["service.jobs.submitted"],

@@ -12,8 +12,8 @@ import (
 )
 
 // buildMux wires the daemon's HTTP surface: the job API under /api/v1,
-// and the embedded live ops endpoints (/events, /varz, /samples,
-// /healthz, /progressz, pprof) for everything else.
+// and the embedded live ops endpoints (/events, /report, /samples,
+// /healthz, pprof) for everything else.
 func (d *Daemon) buildMux() {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/v1/jobs", d.handleSubmit)
@@ -123,8 +123,9 @@ func (d *Daemon) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	st.ServeHTTP(w, r)
 }
 
-// handleJobReport renders the job's latest attempt as a structured run
-// report (per-fault outcomes, latency percentiles, critical path).
+// handleJobReport serves the run record of the job's latest attempt
+// (per-fault outcomes, latency percentiles, critical path), live while
+// the attempt runs.
 func (d *Daemon) handleJobReport(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, ok := d.store.Get(id); !ok {

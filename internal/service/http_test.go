@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -160,23 +161,85 @@ func TestHTTPJobAPI(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	// The embedded live ops surface answers on the same mux.
-	resp, err = http.Get(srv.URL + "/progressz")
+	// The embedded live ops surface answers on the same mux: its /report
+	// is the daemon's own run record, service section included.
+	resp, err = http.Get(srv.URL + "/report")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var prog struct {
+	var daemonRep struct {
 		Service *struct {
 			Submitted int64 `json:"submitted"`
 			Completed int64 `json:"completed"`
 		} `json:"service"`
+		Snapshot *struct {
+			Counters map[string]int64 `json:"counters"`
+		} `json:"snapshot"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&prog); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&daemonRep); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if prog.Service == nil || prog.Service.Submitted < 1 || prog.Service.Completed != 1 {
-		t.Fatalf("/progressz service section = %+v", prog.Service)
+	if daemonRep.Service == nil || daemonRep.Service.Submitted < 1 || daemonRep.Service.Completed != 1 {
+		t.Fatalf("/report service section = %+v", daemonRep.Service)
+	}
+	if daemonRep.Snapshot == nil || daemonRep.Snapshot.Counters["service.jobs.completed"] != 1 {
+		t.Fatalf("/report snapshot = %+v", daemonRep.Snapshot)
+	}
+}
+
+// TestJobStreamsEachFaultOnce runs a chebyshev/c432 job (518 faults) at
+// three workers and reads its SSE stream back: one fault event per
+// fault and nothing else, with the job's persisted event high-water
+// mark equal to that count.
+func TestJobStreamsEachFaultOnce(t *testing.T) {
+	d, err := New(Config{Dir: t.TempDir(), DefaultWorkers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	d.Start(ctx)
+	defer d.Drain()
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	j, err := d.Submit(ctx, JobSpec{Circuit: "chebyshev", Digital: "c432"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := waitJob(t, d, j.ID, 60*time.Second, func(j *Job) bool { return j.State == StateDone })
+	const faults = 518
+	if done.Result == nil || done.Result.Total != faults {
+		t.Fatalf("job result = %+v, want %d faults", done.Result, faults)
+	}
+	if done.EventSeq != faults {
+		t.Errorf("EventSeq = %d, want %d (one event per fault)", done.EventSeq, faults)
+	}
+
+	// Read as many frames as the job recorded events; the stream stays
+	// open afterwards, so the request is bounded by a timeout.
+	reqCtx, cancelReq := context.WithTimeout(ctx, 10*time.Second)
+	defer cancelReq()
+	req, err := http.NewRequestWithContext(reqCtx, http.MethodGet, srv.URL+"/api/v1/jobs/"+j.ID+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	kinds := map[string]int64{}
+	var frames int64
+	for sc := bufio.NewScanner(resp.Body); frames < done.EventSeq && sc.Scan(); {
+		if kind, ok := strings.CutPrefix(sc.Text(), "event: "); ok {
+			kinds[kind]++
+			frames++
+		}
+	}
+	if kinds["fault"] != faults || len(kinds) != 1 {
+		t.Errorf("job stream = %v, want exactly %d fault events", kinds, faults)
 	}
 }
 

@@ -57,14 +57,10 @@ func (w *workload) run(ctx context.Context, col *obs.Collector, ckpt *guard.Chec
 		atpg.WithLimits(lim),
 		atpg.WithWorkers(workers),
 		atpg.WithCheckpoint(ckpt),
+		// The job collector is the run's root: each fault event lands on
+		// it as the coordinator commits it, so the job's SSE stream and
+		// the sync loop's event high-water mark move while the job runs.
 		atpg.WithShardOptions(atpg.WithCollector(col)),
-		// Shard lanes fold into the job collector only at the run's final
-		// deterministic merge; the progress callback fires as outcomes
-		// commit, so the job's SSE stream shows live per-fault progress and
-		// the sync loop has a moving event high-water mark to persist.
-		atpg.WithProgress(func(name, outcome string) {
-			col.Event("progress", name, obs.Str("outcome", outcome))
-		}),
 	}
 	if w.setup != nil {
 		opts = append(opts, atpg.WithShardSetup(w.setup))

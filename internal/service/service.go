@@ -25,8 +25,8 @@
 //     persists everything before exit.
 //
 // Job lifecycle transitions emit service.* counters and events into the
-// obs collector, so /progressz, /varz and the run report cover the
-// daemon itself with the same machinery as the pipeline.
+// obs collector, so the daemon's /report covers the daemon itself with
+// the same machinery as the pipeline.
 package service
 
 import (
@@ -506,7 +506,7 @@ func (d *Daemon) runJob(ctx context.Context, j *Job, rt *jobRuntime) {
 		resumed  int
 		degraded bool
 	)
-	out := guard.Do(ctx, rt.col, "job:"+j.ID, func(ctx context.Context) error {
+	out := guard.Do(ctx, rt.col, func(ctx context.Context) error {
 		if err := chaos.Step(ctx, chaos.SiteServiceJobStart, j.ID); err != nil {
 			return err
 		}
@@ -584,7 +584,7 @@ func (d *Daemon) finishJob(ctx context.Context, id string, rt *jobRuntime, out g
 		}
 	})
 	// Fold the attempt's lane into the root collector now that it has
-	// quiesced, so /varz, /progressz and reports see its work.
+	// quiesced, so the daemon's /report sees its work.
 	d.col.Merge(rt.col)
 	if jc != nil {
 		switch {
